@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from ..core.control.rpc import ControlChannel, RetryPolicy, RpcError
 from ..core.tiering import TieringObject
+from ..simcore.errors import process_error
 from ..simcore.event import Event, chain_result
 from ..storage.filesystem import Filesystem
 from ..storage.posix import BadFileDescriptor, PosixLike
@@ -65,6 +66,9 @@ class ClusterNode:
         self.rpc_timeout = rpc_timeout
         self.cache_remote_reads = cache_remote_reads
         self.name = name
+        self._track = f"cluster.{name}"
+        self._peer_name = f"{name}.peer"
+        self._peer_fetch_name = f"{name}.peer_fetch"
         self.counters = CounterSet()
         # The tier's fill path is routed through this node (owned samples
         # come from the backing store, remote ones from the owning peer) —
@@ -119,47 +123,53 @@ class ClusterNode:
         trading the cooperative invariant for availability.
         """
         peer = self.store.nodes[owner]
-        done = Event(self.sim, name=f"{self.name}.peer:{path}")
+        tel = self.sim.telemetry
+        span = None
+        if tel is not None:
+            span = tel.begin(
+                "cluster.remote_read", self._track, "cluster",
+                lane=True, path=path, owner=owner,
+            )
+        done = Event(self.sim, name=self._peer_name)
 
-        def fetch():
-            tel = self.sim.telemetry
-            span = None
-            if tel is not None:
-                span = tel.begin(
-                    "cluster.remote_read", f"cluster.{self.name}", "cluster",
-                    lane=True, path=path, owner=owner,
-                )
-            try:
-                nbytes = yield peer.channel.request_with_retry(
-                    peer.serve, path,
-                    policy=self.retry_policy, timeout=self.rpc_timeout,
-                )
-            except RpcError:
-                self.counters.add("peer_misses")
-                self.counters.add("fallback_reads")
+        def fail(exc: BaseException) -> None:
+            if span is not None:
+                tel.end(span, outcome="error", error=type(exc).__name__)
+            done.fail(process_error(self._peer_fetch_name, exc))
+
+        def replied(ev: Event) -> None:
+            if ev.ok:
+                self.counters.add("peer_hits")
                 if tel is not None:
                     tel.registry.counter(
-                        "cluster.peer_misses_total", object=self.name
+                        "cluster.peer_hits_total", object=self.name
                     ).inc()
-                try:
-                    nbytes = yield self.store.backing_read(path)
-                except BaseException as exc:
-                    if span is not None:
-                        tel.end(span, outcome="error", error=type(exc).__name__)
-                    raise
-                if span is not None:
-                    tel.end(span, outcome="fallback")
-                return nbytes
-            self.counters.add("peer_hits")
+                    tel.end(span, outcome="peer")
+                done.succeed(ev.value)
+                return
+            if not isinstance(ev.exception, RpcError):
+                fail(ev.exception)
+                return
+            self.counters.add("peer_misses")
+            self.counters.add("fallback_reads")
             if tel is not None:
                 tel.registry.counter(
-                    "cluster.peer_hits_total", object=self.name
+                    "cluster.peer_misses_total", object=self.name
                 ).inc()
-                tel.end(span, outcome="peer")
-            return nbytes
+            self.store.backing_read(path).add_callback(fell_back)
 
-        proc = self.sim.process(fetch(), name=f"{self.name}.peer_fetch")
-        return chain_result(proc, done)
+        def fell_back(ev: Event) -> None:
+            if not ev.ok:
+                fail(ev.exception)
+                return
+            if span is not None:
+                tel.end(span, outcome="fallback")
+            done.succeed(ev.value)
+
+        peer.channel.request_with_retry(
+            peer.serve, path, policy=self.retry_policy, timeout=self.rpc_timeout,
+        ).add_callback(replied)
+        return done
 
     # -- service path -----------------------------------------------------------
     def serve(self, path: str) -> Event:
@@ -210,6 +220,8 @@ class ClusterMount(PosixLike):
     def __init__(self, node: ClusterNode) -> None:
         self.node = node
         self.sim = node.sim
+        self._pread_name = f"{node.name}.pread"
+        self._read_name = f"{node.name}.read"
         self._next_fd = 3
         self._open: Dict[int, _OpenFile] = {}
 
@@ -243,7 +255,7 @@ class ClusterMount(PosixLike):
     def pread(self, fd: int, length: int, offset: int) -> Event:
         entry = self._entry(fd)
         if offset == 0 and self.node.shard_map.covers(entry.path):
-            done = Event(self.sim, name=f"{self.node.name}.pread")
+            done = Event(self.sim, name=self._pread_name)
             return chain_result(
                 self.node.read(entry.path), done, lambda nbytes: min(nbytes, length)
             )
@@ -251,7 +263,7 @@ class ClusterMount(PosixLike):
 
     def read(self, fd: int, length: int) -> Event:
         entry = self._entry(fd)
-        done = Event(self.sim, name=f"{self.node.name}.read")
+        done = Event(self.sim, name=self._read_name)
         inner = self.pread(fd, length, entry.offset)
 
         def advance(nbytes: int) -> int:

@@ -72,6 +72,8 @@ class PrefetchBuffer:
     def __init__(self, sim: "Simulator", capacity: int, name: str = "prisma.buffer") -> None:
         self.sim = sim
         self.name = name
+        self._insert_name = f"{name}.insert"
+        self._req_name = f"{name}.req"
         self._store: KeyedStore = KeyedStore(
             sim, capacity=_validate_capacity(capacity), name=name
         )
@@ -119,7 +121,7 @@ class PrefetchBuffer:
             self.counters.add("insert_errors")
         else:
             self.counters.add("inserts")
-        done = Event(self.sim, name=f"{self.name}.insert")
+        done = Event(self.sim, name=self._insert_name)
         tel = self.sim.telemetry
         span = None
         if tel is not None:
@@ -171,7 +173,7 @@ class PrefetchBuffer:
             self.counters.add("duplicate_requests")
             if tel is not None:
                 tel.instant("buffer.duplicate", self.name, "buffer", path=path)
-            done = Event(self.sim, name=f"{self.name}.req")
+            done = Event(self.sim, name=self._req_name)
             done.fail(
                 DuplicateRequestError(
                     f"request({path!r}) on {self.name!r} can never be served: "
@@ -198,7 +200,7 @@ class PrefetchBuffer:
         # what makes a concurrent duplicate request fail fast instead of
         # parking on a key that will never be re-staged.
         self._consumed.add(path)
-        done = Event(self.sim, name=f"{self.name}.req")
+        done = Event(self.sim, name=self._req_name)
         inner = self._store.get(path)
 
         def settled(ev: Event) -> None:

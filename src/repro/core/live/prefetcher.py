@@ -57,6 +57,8 @@ class LivePrefetcher:
         self._lock = threading.Lock()
         self._queue: Deque[str] = deque()
         self._covered: Set[str] = set()
+        #: paths a producer has claimed but not yet inserted (under _lock)
+        self._in_flight: Set[str] = set()
         self._target = producers
         self._threads: List[threading.Thread] = []
         self._live = 0
@@ -137,15 +139,17 @@ class LivePrefetcher:
         """The claimable cross-epoch path, if any; caller holds ``_lock``.
 
         Same protocol as the simulated plane: stop (rather than skip) when
-        the next scheduled path is still buffered for the live epoch, and
-        respect buffer slack.
+        the next scheduled path is still buffered or in flight for the live
+        epoch — a second copy would overwrite the first, and the next
+        epoch's read of it would wait forever — and respect buffer slack,
+        counting in-flight reads against it.
         """
         if self._schedule is None or self.lookahead_epochs < 1:
             return None
-        if self.buffer.level >= self.buffer.capacity:
+        if self.buffer.level + len(self._in_flight) >= self.buffer.capacity:
             return None
         path = self._schedule.peek_ahead(self.lookahead_epochs)
-        if path is None or self.buffer.contains(path):
+        if path is None or path in self._in_flight or self.buffer.contains(path):
             return None
         return path
 
@@ -206,6 +210,7 @@ class LivePrefetcher:
                         self._retire()
                         return
                     path = claimed
+                self._in_flight.add(path)
             try:
                 payload: object = self._read_file(path)
             except OSError as exc:
@@ -218,10 +223,12 @@ class LivePrefetcher:
                 self.buffer.insert(path, payload)  # type: ignore[arg-type]
             except BufferClosed:
                 with self._lock:
+                    self._in_flight.discard(path)
                     self._retire()
                 return
-            if not isinstance(payload, Exception):
-                with self._lock:
+            with self._lock:
+                self._in_flight.discard(path)
+                if not isinstance(payload, Exception):
                     self.bytes_fetched += len(payload)
                     self.files_fetched += 1
 

@@ -120,6 +120,7 @@ class ParallelPrefetcher(OptimizationObject):
             raise ValueError("retry_backoff must be >= 0")
         self.buffer = PrefetchBuffer(sim, buffer_capacity, name=f"{name}.buffer")
         self.queue = FilenameQueue(name=f"{name}.queue")
+        self._serve_name = f"{name}.serve"
         self.max_producers = max_producers
         self.max_read_retries = max_read_retries
         self.retry_backoff = retry_backoff
@@ -371,7 +372,7 @@ class ParallelPrefetcher(OptimizationObject):
                 "prefetch.serve", f"{self.name}.serve", "prefetcher", lane=True, path=path
             )
         hit, fetched = self.buffer.request(path)
-        done = Event(self.sim, name=f"{self.name}.serve")
+        done = Event(self.sim, name=self._serve_name)
         if tel is not None:
             serve_span.args["hit"] = hit
             hist = tel.registry.histogram("prisma.serve_latency_seconds", object=self.name)
@@ -399,14 +400,8 @@ class ParallelPrefetcher(OptimizationObject):
                     done.fail(nbytes)
                 return
 
-            def copy_out():
-                yield self.sim.timeout(HIT_OVERHEAD + nbytes / MEMORY_BANDWIDTH)
-                return nbytes
-
-            proc = self.sim.process(copy_out(), name=f"{self.name}.copy")
-            proc.add_callback(
-                lambda p: done.succeed(p.value) if p.ok else done.fail(p.exception)
-            )
+            copy_out = self.sim.timeout(HIT_OVERHEAD + nbytes / MEMORY_BANDWIDTH)
+            copy_out.add_callback(lambda _ev: done.succeed(nbytes))
 
         fetched.add_callback(after_fetch)
         if self.schedule is not None and self.lookahead_epochs > 0:

@@ -167,6 +167,7 @@ class SharedDatasetPrefetcher(OptimizationObject):
             sim, buffer_capacity, fanout=consumers, name=f"{name}.buffer"
         )
         self.queue = FilenameQueue(name=f"{name}.queue")
+        self._serve_name = f"{name}.serve"
         self.max_producers = max_producers
         self._target_producers = producers
         self._live_producers = 0
@@ -236,7 +237,7 @@ class SharedDatasetPrefetcher(OptimizationObject):
         if not self.queue.covers(path):
             return None
         fetched = self.buffer.take(path)
-        done = Event(self.sim, name=f"{self.name}.serve")
+        done = Event(self.sim, name=self._serve_name)
 
         def after_fetch(ev: Event) -> None:
             if not ev.ok:
@@ -247,14 +248,8 @@ class SharedDatasetPrefetcher(OptimizationObject):
                 done.fail(payload)
                 return
 
-            def copy_out():
-                yield self.sim.timeout(HIT_OVERHEAD + payload / MEMORY_BANDWIDTH)
-                return payload
-
-            proc = self.sim.process(copy_out(), name=f"{self.name}.copy")
-            proc.add_callback(
-                lambda p: done.succeed(p.value) if p.ok else done.fail(p.exception)
-            )
+            copy_out = self.sim.timeout(HIT_OVERHEAD + payload / MEMORY_BANDWIDTH)
+            copy_out.add_callback(lambda _ev: done.succeed(payload))
 
         fetched.add_callback(after_fetch)
         return done

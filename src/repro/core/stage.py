@@ -50,6 +50,9 @@ class PrismaStage(PosixLike):
         self.sim = sim
         self.backend = backend
         self.name = name
+        self._read_name = f"{name}.read"
+        self._pread_name = f"{name}.pread"
+        self._bpread_name = f"{name}.bpread"
         self.optimizations: List[OptimizationObject] = list(optimizations or [])
         self._next_fd = 1000  # distinct range from the backend's table
         self._open: Dict[int, _StageOpenFile] = {}
@@ -155,7 +158,7 @@ class PrismaStage(PosixLike):
 
     def read(self, fd: int, length: int) -> Event:
         entry = self._entry(fd)
-        done = Event(self.sim, name=f"{self.name}.read")
+        done = Event(self.sim, name=self._read_name)
         if entry.offset == 0:
             inner = self._clamped_whole(entry.path, length)
         else:
@@ -174,7 +177,7 @@ class PrismaStage(PosixLike):
     # -- helpers ---------------------------------------------------------------
     def _clamped_whole(self, path: str, length: int) -> Event:
         """Whole-file service, clamped to ``length`` for POSIX fidelity."""
-        done = Event(self.sim, name=f"{self.name}.pread")
+        done = Event(self.sim, name=self._pread_name)
         inner = self._serve_whole(path)
         chain_result(inner, done, lambda nbytes: min(nbytes, length))
         self.counters.add("reads")
@@ -183,7 +186,7 @@ class PrismaStage(PosixLike):
     def _backend_pread(self, path: str, length: int, offset: int) -> Event:
         self.counters.add("fallback_reads")
         bfd = self.backend.open(path)
-        done = Event(self.sim, name=f"{self.name}.bpread")
+        done = Event(self.sim, name=self._bpread_name)
         inner = self.backend.pread(bfd, length, offset)
 
         # Callbacks run in registration order: close before forwarding.

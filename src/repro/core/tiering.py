@@ -50,7 +50,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Set
 
-from ..simcore.event import Event, chain_result
+from ..simcore.errors import process_error
+from ..simcore.event import Event
 from ..telemetry import CounterSet
 from ..storage.backend import validate_byte_count
 from ..storage.filesystem import Filesystem
@@ -157,6 +158,7 @@ class TieringObject(OptimizationObject):
         self._promoting: Set[str] = set()
         #: path -> in-flight read-through fetch (concurrent requests coalesce)
         self._fetching: Dict[str, Event] = {}
+        self._fetch_name = f"{name}.fetch"
         self.counters = CounterSet()
 
     # -- data path --------------------------------------------------------------
@@ -211,23 +213,32 @@ class TieringObject(OptimizationObject):
         inflight = self._fetching.get(path)
         if inflight is not None:
             self.counters.add("coalesced_fetches")
-            done = Event(self.sim, name=f"{self.name}.coalesced:{path}")
-            return chain_result(inflight, done)
+            return inflight
         self.counters.add("slow_reads")
         if tel is not None:
             tel.registry.counter("prisma.tier_misses_total", object=self.name).inc()
-        proc = self.sim.process(self._fetch(path, admit), name=f"{self.name}.fetch")
-        self._fetching[path] = proc
-        proc.add_callback(lambda _ev: self._fetching.pop(path, None))
-        done = Event(self.sim, name=f"{self.name}.fetch:{path}")
-        return chain_result(proc, done)
+        done = Event(self.sim, name=self._fetch_name)
+        self._fetching[path] = done
+        done.add_callback(lambda _ev: self._fetching.pop(path, None))
 
-    def _fetch(self, path: str, admit: bool):
-        """One coalesced source read, optionally admitted to the fast tier."""
-        nbytes = yield self._source_read(path)
-        if admit:
-            yield from self._admit(path, nbytes)
-        return nbytes
+        def fail(exc: BaseException) -> None:
+            done.fail(process_error(self._fetch_name, exc))
+
+        def fetched(ev: Event) -> None:
+            if not ev.ok:
+                fail(ev.exception)
+                return
+            nbytes = ev.value
+            written = self._admit(path, nbytes) if admit else None
+            if written is None:
+                done.succeed(nbytes)
+                return
+            written.add_callback(
+                lambda w: done.succeed(nbytes) if w.ok else fail(w.exception)
+            )
+
+        self._source_read(path).add_callback(fetched)
+        return done
 
     def _source_read(self, path: str) -> Event:
         """Read the bytes a tier fill needs (promotion source or backend)."""
@@ -262,29 +273,36 @@ class TieringObject(OptimizationObject):
             except Exception:  # noqa: BLE001 - promotion is best-effort
                 self.counters.add("promotion_failures")
                 return
-            yield from self._admit(path, nbytes)
+            written = self._admit(path, nbytes)
+            if written is not None:
+                yield written
         finally:
             # Unconditional: a crash (Interrupt) or injected fault mid-copy
             # must not leave the path stuck in "promotion in flight" forever.
             self._promoting.discard(path)
 
-    def _admit(self, path: str, nbytes: int):
+    def _admit(self, path: str, nbytes: int) -> Optional[Event]:
         """Make room, copy onto the fast tier, and mark ``path`` resident.
 
-        Shared tail of background promotion and read-through fetches;
-        returns False when the bytes were declined (too large, or eviction
+        Shared tail of background promotion and read-through fetches.
+        Returns the fast-tier write, which marks the path resident when it
+        lands, or None when the bytes were declined (too large, or eviction
         could not free enough room under the policy).
         """
         if nbytes > self.fast_capacity_bytes:
             self.counters.add("too_large")
-            return False
+            return None
         if not self._make_room(path, nbytes):
             self.counters.add("promotions_declined")
-            return False
+            return None
         tier_path = self._tier_path(path)
         if not self.fast_fs.exists(tier_path):
             self.fast_fs.create(tier_path, 0)
-        yield self.fast_fs.write(tier_path, nbytes)
+        written = self.fast_fs.write(tier_path, nbytes)
+        written.add_callback(lambda ev: self._resident_now(path, nbytes) if ev.ok else None)
+        return written
+
+    def _resident_now(self, path: str, nbytes: int) -> None:
         # A racing promotion/demotion interleaving may have made the
         # path resident meanwhile; replace, never double-count.
         old = self._resident.pop(path, None)
@@ -298,7 +316,6 @@ class TieringObject(OptimizationObject):
             tel.registry.counter(
                 "prisma.tier_promotions_total", object=self.name
             ).inc()
-        return True
 
     def _demote(self, victim: str) -> None:
         """Drop one resident file (the slow tier remains authoritative)."""

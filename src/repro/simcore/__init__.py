@@ -28,6 +28,7 @@ from .errors import (
     SchedulingError,
     SimulationError,
     StopSimulation,
+    process_error,
 )
 from .event import AllOf, AnyOf, Event, Timeout
 from .kernel import Process, Simulator
@@ -85,4 +86,5 @@ __all__ = [
     "StorePut",
     "Timeout",
     "WAITING",
+    "process_error",
 ]

@@ -75,3 +75,14 @@ class ProcessError(SimulationError):
 
     The original exception is available as ``__cause__``.
     """
+
+
+def process_error(name: str, exc: BaseException) -> ProcessError:
+    """The error a process called ``name`` dies with when its body raises ``exc``.
+
+    Callback chains that stand in for a process fail their event with this,
+    so callers see the same ``ProcessError(__cause__=exc)`` shroud either way.
+    """
+    err = ProcessError(f"process {name!r} failed: {exc!r}")
+    err.__cause__ = exc
+    return err

@@ -35,6 +35,7 @@ from .errors import (
     ProcessError,
     SchedulingError,
     StopSimulation,
+    process_error,
 )
 from .event import AllOf, AnyOf, Event, Timeout
 
@@ -162,8 +163,7 @@ class Process(Event):
             sim._active_process = None
 
     def _exception_terminate(self, exc: BaseException) -> None:
-        err = ProcessError(f"process {self.name!r} failed: {exc!r}")
-        err.__cause__ = exc
+        err = process_error(self.name, exc)
         had_joiners = bool(self.callbacks)
         self.fail(err)
         if not had_joiners:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..simcore.event import Event, chain_result
+from ..simcore.event import Event
 from ..simcore.resources import Resource
 from ..telemetry import CounterSet
 from .fluid import FairShareChannel, saturating_capacity
@@ -229,6 +229,8 @@ class BlockDevice:
         self.sim = sim
         self.profile = profile or intel_p4600()
         self.name = name
+        self._io_name = f"io:{name}"
+        self._track = f"storage.{name}"
         self._read_channel = FairShareChannel(
             sim,
             saturating_capacity(self.profile.max_read_bandwidth, self.profile.read_kappa),
@@ -283,44 +285,57 @@ class BlockDevice:
         weight: float,
         op: str = "read",
     ) -> Event:
-        done = Event(self.sim, name=f"io:{self.name}")
+        """Submission latency, then the transfer: a callback chain.
 
-        def io_process():
-            tel = self.sim.telemetry
-            span = None
-            if tel is not None:
-                span = tel.begin(
-                    f"dev.{op}", f"storage.{self.name}", "storage", lane=True, bytes=float(nbytes)
-                )
-            try:
-                lat = self._latency(latency)
-                if lat > 0:
-                    if self._seek_slots is not None:
-                        # Queue-wait for the (possibly single) seek slot —
-                        # nested on the request's own lane, which it owns
-                        # exclusively until the outer span ends.
-                        wait = tel.begin("dev.seek_wait", span.track, "storage") if tel else None
-                        slot = yield self._seek_slots.request()
-                        if wait is not None:
-                            tel.end(wait)
-                        yield self.sim.timeout(lat)
-                        self._seek_slots.release(slot)
-                    else:
-                        yield self.sim.timeout(lat)
-                service = tel.begin("dev.transfer", span.track, "storage") if tel else None
-                duration = yield channel.transfer(nbytes, weight=weight)
-                if service is not None:
-                    tel.end(service)
-            except BaseException:
-                if span is not None:
-                    tel.end(span, ok=False)
-                raise
+        The returned event is the one the channel settles, valued at the
+        total service time (latency plus transfer duration); with no
+        latency and no telemetry it is simply the channel's own event.
+        """
+        sim = self.sim
+        tel = sim.telemetry
+        lat = self._latency(latency)
+        if lat <= 0 and tel is None:
+            return channel.transfer(nbytes, weight)
+        done = Event(sim, name=self._io_name)
+        span = None
+        if tel is not None:
+            span = tel.begin(
+                f"dev.{op}", self._track, "storage", lane=True, bytes=float(nbytes)
+            )
+
+        def transfer(_ev: Optional[Event] = None) -> None:
             if span is not None:
-                tel.end(span, ok=True)
-            return lat + duration
+                service = tel.begin("dev.transfer", span.track, "storage")
 
-        proc = self.sim.process(io_process(), name=f"io:{self.name}")
-        return chain_result(proc, done)
+                def finish(ev: Event) -> None:
+                    tel.end(service)
+                    tel.end(span, ok=ev.ok)
+
+                done.add_callback(finish)
+            channel.transfer(nbytes, weight, event=done, elapsed=lat)
+
+        if lat <= 0:
+            transfer()
+        elif self._seek_slots is None:
+            sim.timeout(lat).add_callback(transfer)
+        else:
+            # Queue for the (possibly single) seek slot — the wait nests on
+            # the request's own lane, which it owns until the outer span ends.
+            slots = self._seek_slots
+            wait = tel.begin("dev.seek_wait", span.track, "storage") if tel else None
+
+            def seek(request: Event) -> None:
+                if wait is not None:
+                    tel.end(wait)
+
+                def seeked(_ev: Event) -> None:
+                    slots.release(request)
+                    transfer()
+
+                sim.timeout(lat).add_callback(seeked)
+
+            slots.request().add_callback(seek)
+        return done
 
     # -- public API -------------------------------------------------------------
     def read(self, nbytes: float, weight: float = 1.0) -> Event:

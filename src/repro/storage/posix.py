@@ -110,7 +110,7 @@ class PosixLayer(PosixLike):
 
     def read(self, fd: int, length: int) -> Event:
         entry = self._entry(fd)
-        done = Event(self.sim, name=f"read:{entry.path}")
+        done = Event(self.sim, name="posix.read")
         inner = self.fs.read(entry.path, entry.offset, length)
 
         def advance(nbytes: int) -> int:
@@ -123,8 +123,7 @@ class PosixLayer(PosixLike):
         """Convenience: open + read-to-EOF + close as one event."""
         fd = self.open(path)
         size = self.fstat_size(fd)
-        done = Event(self.sim, name=f"readwhole:{path}")
-        inner = self.pread(fd, size, 0)
-        # Callbacks run in registration order: close before forwarding.
-        inner.add_callback(lambda ev: self.close(fd))
-        return chain_result(inner, done)
+        read = self.pread(fd, size, 0)
+        # Callbacks run in registration order: closed before any caller's.
+        read.add_callback(lambda ev: self.close(fd))
+        return read

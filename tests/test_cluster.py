@@ -17,6 +17,7 @@ Four concern groups:
 """
 
 import json
+import os
 
 import pytest
 
@@ -463,6 +464,34 @@ def test_cluster_serving_rejects_bad_args():
         run_cluster_serving(epochs=0)
     with pytest.raises(ValueError):
         run_cluster_serving(tier_slack=0.0)
+
+
+def test_cluster_read_path_event_budget(monkeypatch):
+    """A fault-free cooperative-cache read costs at most 12 kernel events
+    and spawns no process: the storage, tier, cluster and RPC layers are
+    callback chains.  Counted the way the benchmark probe counts them."""
+    events, spawned = [0], []
+    run, process = Simulator.run, Simulator.process
+
+    def counted_run(sim, until=None):
+        before = sim.events_processed
+        try:
+            return run(sim, until)
+        finally:
+            events[0] += sim.events_processed - before
+
+    def counted_process(sim, generator, name=""):
+        spawned.append(generator.gi_code.co_filename)
+        return process(sim, generator, name)
+
+    monkeypatch.setattr(Simulator, "run", counted_run)
+    monkeypatch.setattr(Simulator, "process", counted_process)
+    report = run_cluster_serving(seed=0, n_nodes=8, n_files=64, epochs=2)
+    assert report.completed and report.requests == 8 * 64 * 2
+    assert events[0] / report.requests <= 12
+    # Only the experiment's own driver and per-epoch trainers are processes.
+    assert len(spawned) == 1 + 8 * 2
+    assert all(f.endswith(os.path.join("experiments", "cluster.py")) for f in spawned)
 
 
 def test_distributed_job_over_cluster_store():

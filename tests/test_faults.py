@@ -212,6 +212,67 @@ def test_retry_does_not_replay_application_errors():
     assert ch.counters.get("retries") == 0
 
 
+def test_late_first_reply_does_not_settle_the_retried_request():
+    """Attempt 1 times out; its reply lands while attempt 2 is in flight.
+    The caller's event settles once, with attempt 2's value."""
+    sim = Simulator()
+    ch = ControlChannel(sim, latency=1e-3)
+    attempts = []
+
+    def serve():
+        attempts.append(sim.now)
+        value, service = ("first", 10e-3) if len(attempts) == 1 else ("second", 2e-3)
+        reply = sim.event()
+        sim.at(sim.now + service, reply.succeed, value)
+        return reply
+
+    policy = RetryPolicy(max_attempts=3, base_delay=1e-3, budget=1.0)
+    settled = []
+    ev = ch.request_with_retry(serve, policy=policy, timeout=8e-3)
+    ev.add_callback(lambda e: settled.append((sim.now, e.value)))
+    sim.run()  # drains the late first reply (t = 12 ms) too
+    assert settled == [(pytest.approx(13e-3), "second")]
+    assert attempts == [pytest.approx(1e-3), pytest.approx(10e-3)]  # far-side arrivals
+    assert ch.counters.get("timeouts") == 1
+    assert ch.counters.get("retries") == 1
+    assert ch.counters.get("requests") == 2
+
+
+def test_request_retry_exhaustion_is_typed_and_chains_cause():
+    sim = Simulator()
+    ch = ControlChannel(sim, latency=1e-4)
+    ch.inject_drops(True)
+    policy = RetryPolicy(max_attempts=3, base_delay=1e-3, budget=1.0)
+    out = _drive(sim, lambda: (yield ch.request_with_retry(lambda: 1, policy=policy)))
+    assert isinstance(out["exc"], RpcRetriesExhausted)
+    assert isinstance(out["exc"].__cause__, RpcTransportError)
+    assert ch.counters.get("retries") == 2
+    assert ch.counters.get("requests") == 3
+
+
+def test_request_retry_surfaces_application_error_with_cause():
+    sim = Simulator()
+    ch = ControlChannel(sim)
+
+    def broken():
+        raise ValueError("far-side bug")
+
+    out = _drive(sim, lambda: (yield ch.request_with_retry(broken)))
+    assert isinstance(out["exc"], RpcApplicationError)
+    assert isinstance(out["exc"].__cause__, ValueError)
+    assert ch.counters.get("retries") == 0
+
+
+def test_far_side_never_runs_on_the_callers_stack():
+    sim = Simulator()
+    ch = ControlChannel(sim, latency=0.0)
+    ran = []
+    ev = ch.request(lambda: ran.append(sim.now) or 7)
+    assert ran == [], "zero latency still defers the far side to a kernel event"
+    sim.run()
+    assert ran == [0.0] and ev.value == 7
+
+
 # ---------------------------------------------------------------- storage seams
 def test_filesystem_fault_hook_injects_error_and_latency():
     sim = Simulator()

@@ -8,7 +8,7 @@ distributed PFS, object store — plus the config-driven construction path
 import pytest
 
 from repro.core import PrismaConfig, build_prisma
-from repro.simcore import Simulator
+from repro.simcore import ProcessError, Simulator
 from repro.storage import (
     BackendConfig,
     BlockDevice,
@@ -145,6 +145,7 @@ def test_fault_hook_injects_errors(kind):
     backend.create("/a", 4 * KiB)
     backend.fault_hook = lambda path, nbytes: ReadFault(error=TransientReadError(path))
     out = _drive(sim, lambda: (yield backend.read_whole("/a")))
+    assert isinstance(out["exc"], ProcessError)
     assert isinstance(out["exc"].__cause__, TransientReadError)
 
 

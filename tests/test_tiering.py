@@ -3,6 +3,7 @@
 import math
 import os
 import tempfile
+import threading
 import time
 
 import pytest
@@ -511,6 +512,56 @@ def test_live_prefetcher_lookahead_across_epochs():
                 assert len(pf.read(path, timeout=10.0)) == 1024
             snap = pf.snapshot()
             assert snap.lookahead_fetches == pf.lookahead_fetches
+
+
+def test_live_lookahead_never_claims_a_path_still_in_flight():
+    """The live epoch's last read is slow; an idle producer must not claim
+    the next epoch's copy of that same path, or one insert overwrites the
+    other and the next epoch's read of it waits forever."""
+    with tempfile.TemporaryDirectory() as root:
+        paths = []
+        for i in range(6):
+            path = os.path.join(root, f"{i}.bin")
+            with open(path, "wb") as fh:
+                fh.write(bytes([i]) * 1024)
+            paths.append(path)
+        last = paths[-1]
+        sched = LookaheadSchedule([paths, list(reversed(paths))])
+        with LivePrefetcher(
+            producers=2, buffer_capacity=8, lookahead_epochs=1
+        ) as pf:
+            read_file = pf._read_file
+            reads_of_last = []
+            held, release = threading.Event(), threading.Event()
+
+            def slow_last(path):
+                if path == last:
+                    reads_of_last.append(path)
+                    if len(reads_of_last) == 1:
+                        held.set()
+                        release.wait(10.0)
+                return read_file(path)
+
+            pf._read_file = slow_last
+            pf.install_schedule(sched)
+            pf.load_epoch(list(paths))
+            for path in paths[:-1]:
+                assert len(pf.read(path, timeout=10.0)) == 1024
+            assert held.wait(10.0)
+            # The other producer drains the queue, finds the next epoch's
+            # first path in flight, and retires instead of claiming it.
+            deadline = time.monotonic() + 5.0
+            while pf.live_producers > 1 and len(reads_of_last) < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            pf._spawn_up_to_target()
+            assert reads_of_last == [last]
+            assert pf.lookahead_fetches == 0
+            release.set()
+            assert len(pf.read(last, timeout=10.0)) == 1024
+            pf.load_epoch(list(reversed(paths)))
+            for path in reversed(paths):
+                assert len(pf.read(path, timeout=10.0)) == 1024
 
 
 def test_live_prefetcher_lookahead_knob():
