@@ -72,7 +72,6 @@ class PrefetchBuffer:
     def __init__(self, sim: "Simulator", capacity: int, name: str = "prisma.buffer") -> None:
         self.sim = sim
         self.name = name
-        self._insert_name = f"{name}.insert"
         self._req_name = f"{name}.req"
         self._store: KeyedStore = KeyedStore(
             sim, capacity=_validate_capacity(capacity), name=name
@@ -121,7 +120,6 @@ class PrefetchBuffer:
             self.counters.add("insert_errors")
         else:
             self.counters.add("inserts")
-        done = Event(self.sim, name=self._insert_name)
         tel = self.sim.telemetry
         span = None
         if tel is not None:
@@ -130,7 +128,7 @@ class PrefetchBuffer:
                 "buffer.insert", f"{self.name}.insert", "buffer", lane=True,
                 path=path, staged_error=isinstance(payload, Exception),
             )
-        inner = self._store.put(path, payload)
+        put = self._store.put(path, payload)
 
         def settled(ev: Event) -> None:
             if ev.ok:
@@ -138,14 +136,13 @@ class PrefetchBuffer:
                 if tel is not None:
                     tel.end(span, ok=True)
                     tel.sample(f"{self.name}.occupancy", self.level)
-                done.succeed()
-            else:
-                if tel is not None:
-                    tel.end(span, ok=False)
-                done.fail(ev.exception)
+            elif tel is not None:
+                tel.end(span, ok=False)
 
-        inner.add_callback(settled)
-        return done
+        # The store's own event, with the bookkeeping as its first callback:
+        # no relay event between the store and the producer.
+        put.add_callback(settled)
+        return put
 
     # -- consumer side ------------------------------------------------------------
     def contains(self, path: str) -> bool:
@@ -200,8 +197,7 @@ class PrefetchBuffer:
         # what makes a concurrent duplicate request fail fast instead of
         # parking on a key that will never be re-staged.
         self._consumed.add(path)
-        done = Event(self.sim, name=self._req_name)
-        inner = self._store.get(path)
+        get = self._store.get(path)
 
         def settled(ev: Event) -> None:
             if ev.ok:
@@ -210,14 +206,11 @@ class PrefetchBuffer:
                     if wait_span is not None:
                         tel.end(wait_span, ok=True)
                     tel.sample(f"{self.name}.occupancy", self.level)
-                done.succeed(ev.value)
-            else:
-                if wait_span is not None:
-                    tel.end(wait_span, ok=False)
-                done.fail(ev.exception)
+            elif wait_span is not None:
+                tel.end(wait_span, ok=False)
 
-        inner.add_callback(settled)
-        return hit, done
+        get.add_callback(settled)
+        return hit, get
 
     # -- statistics --------------------------------------------------------------
     def hit_rate(self) -> float:

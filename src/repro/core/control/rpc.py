@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ...simcore.errors import ProcessError, SimulationError
-from ...simcore.event import Event
+from ...simcore.event import Event, Timeout
 from ...telemetry import CounterSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -117,11 +117,12 @@ class RetryPolicy:
 class _Exchange:
     """One request/reply exchange in flight, as a chain of leg callbacks.
 
-    The exchange lets go of the caller's event once it settles, so a
-    deadline timer still pending holds only this small record.
+    The exchange lets go of the caller's event once it settles, and
+    cancels its deadline timer, which would fire into a settled exchange
+    and do nothing.
     """
 
-    __slots__ = ("channel", "fn", "args", "awaited", "done", "retry")
+    __slots__ = ("channel", "fn", "args", "awaited", "done", "retry", "deadline")
 
     def __init__(
         self,
@@ -138,12 +139,16 @@ class _Exchange:
         self.awaited = awaited
         self.done: Optional[Event] = done
         self.retry = retry
+        self.deadline: Optional[Timeout] = None
 
     def settle(self, value: Any = None, exc: Optional[RpcError] = None) -> None:
         done, retry = self.done, self.retry
         if done is None:
             return  # the deadline beat us; late replies are discarded
         self.done = self.retry = None
+        if self.deadline is not None:
+            self.channel.sim.cancel(self.deadline)
+            self.deadline = None
         if exc is None:
             done.succeed(value)
         elif retry is not None and not isinstance(exc, RpcApplicationError):
@@ -261,7 +266,8 @@ class ControlChannel:
         exchange = _Exchange(self, fn, args, awaited, done, retry)
         sim.timeout(self.latency + self._extra_delay).add_callback(exchange.deliver)
         if timeout is not None:
-            sim.timeout(timeout).add_callback(exchange.expire)
+            exchange.deadline = deadline = sim.timeout(timeout)
+            deadline.add_callback(exchange.expire)
         return done
 
     def _far_side_error(self, exc: BaseException) -> RpcError:

@@ -400,8 +400,8 @@ class ParallelPrefetcher(OptimizationObject):
                     done.fail(nbytes)
                 return
 
-            copy_out = self.sim.timeout(HIT_OVERHEAD + nbytes / MEMORY_BANDWIDTH)
-            copy_out.add_callback(lambda _ev: done.succeed(nbytes))
+            # The copy-out: ``done`` itself fires when it ends.
+            done.succeed_after(HIT_OVERHEAD + nbytes / MEMORY_BANDWIDTH, nbytes)
 
         fetched.add_callback(after_fetch)
         if self.schedule is not None and self.lookahead_epochs > 0:

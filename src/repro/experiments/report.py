@@ -74,7 +74,7 @@ def format_figure3(result: Figure3Result) -> str:
             )
         )
     ratio_rows = []
-    for model in {c.model for c in result.curves}:
+    for model in dict.fromkeys(c.model for c in result.curves):
         ratios = result.thread_ratio(model)
         ratio_rows.append(
             (model, "  ".join(f"p{int(q*100)}={r:.1f}x" for q, r in sorted(ratios.items())))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
-from .errors import EventAlreadyTriggered
+from .errors import EventAlreadyTriggered, SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Simulator
@@ -81,8 +81,10 @@ class Event:
         """Trigger successfully with ``value`` and enqueue for processing."""
         if self._value is not _PENDING or self._exception is not None:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
-        self._value = value
+        # Enqueue first: an event already scheduled (by succeed_after) is
+        # rejected before it is marked triggered.
         self.sim._enqueue_now(self)
+        self._value = value
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -91,9 +93,28 @@ class Event:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        self.sim._enqueue_now(self)
         self._exception = exception
         self._value = None
-        self.sim._enqueue_now(self)
+        return self
+
+    def succeed_after(self, delay: float, value: Any = None) -> "Event":
+        """Trigger successfully with ``value`` at ``now + delay``.
+
+        The deferred form of :meth:`succeed` for an event already handed to
+        its waiters: like a :class:`Timeout`, the event triggers only when
+        the clock reaches it, and it fires in that timestamp's FIFO order —
+        one kernel event, where a timeout relaying into ``succeed`` costs
+        two.  Triggering or scheduling the event twice is an error, as
+        with :meth:`succeed`.
+        """
+        if self._value is not _PENDING or self._exception is not None:
+            raise EventAlreadyTriggered(f"{self!r} already triggered")
+        if self._scheduled:
+            raise SchedulingError(f"{self!r} is already scheduled")
+        self._scheduled = True
+        sim = self.sim
+        sim._enqueue_at(sim.now + delay, _Deferred(self, value))
         return self
 
     # -- waiting ------------------------------------------------------------
@@ -151,20 +172,25 @@ class Timeout(Event):
     like :class:`AnyOf` see an accurate picture of which waits completed.
     """
 
-    __slots__ = ("delay", "_pending_value")
+    __slots__ = ("delay", "_pending_value", "_at")
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
-            from .errors import SchedulingError
-
             raise SchedulingError(f"negative timeout delay: {delay}")
-        # Note: no formatted per-instance name — timeouts are the kernel's
-        # highest-volume allocation and the f-string dominated their cost;
-        # __repr__ renders the delay lazily instead.
-        super().__init__(sim)
-        self.delay = float(delay)
+        # The fields are set here rather than through Event.__init__:
+        # timeouts are the kernel's highest-volume allocation.  No
+        # formatted per-instance name either; __repr__ renders the delay.
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._exception = None
+        self._scheduled = False
+        self.name = ""
+        self.delay = delay = float(delay)
         self._pending_value = value
-        self.sim._enqueue_at(self.sim.now + self.delay, self)
+        #: the timestamp this timeout fires at (where ``cancel`` finds it)
+        self._at = at = sim.now + delay
+        sim._enqueue_at(at, self)
 
     def _process(self) -> None:
         self._value = self._pending_value
@@ -177,6 +203,26 @@ class Timeout(Event):
             "processed" if self.processed else "triggered" if self.triggered else "pending"
         )
         return f"<Timeout({self.delay:g}) {state} at t={self.sim.now:.6g}>"
+
+
+class _Deferred:
+    """The queue entry behind :meth:`Event.succeed_after`.
+
+    When it fires, it sets the event's value and runs the event's
+    callbacks in place, so the event itself never waits in the queue.
+    """
+
+    __slots__ = ("event", "value", "_scheduled")
+
+    def __init__(self, event: Event, value: Any) -> None:
+        self.event = event
+        self.value = value
+        self._scheduled = False
+
+    def _process(self) -> None:
+        event = self.event
+        event._value = self.value
+        event._process()
 
 
 class AnyOf(Event):

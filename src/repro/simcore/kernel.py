@@ -37,10 +37,12 @@ from .errors import (
     StopSimulation,
     process_error,
 )
-from .event import AllOf, AnyOf, Event, Timeout
+from .event import _PENDING, AllOf, AnyOf, Event, Timeout
 
 #: Type alias for process generator functions.
 ProcessGenerator = Generator[Event, Any, Any]
+
+_INF = float("inf")
 
 
 class _Resume:
@@ -294,23 +296,52 @@ class Simulator:
         """Request that :meth:`run` return after the current event."""
         self._stopping = True
 
+    def cancel(self, timeout: Timeout) -> None:
+        """Withdraw a pending timer: it never fires, its callbacks never run.
+
+        The timer is taken out of its slot, so it costs no kernel event and
+        is freed at once.  Cancelling a timer that already fired (or is
+        firing) or was already cancelled is a no-op.  Every other event
+        fires in the same order as if the timer had stayed in place with
+        callbacks that do nothing.
+        """
+        if not timeout._scheduled or timeout.callbacks is None:
+            return
+        timeout._scheduled = False
+        at = timeout._at
+        if at <= self.now:
+            self._now_queue.remove(timeout)
+            return
+        slot = self._slots[at]
+        slot.remove(timeout)
+        if not slot:
+            # The heap keeps ``at``; the loop skips a time without a slot.
+            del self._slots[at]
+
     # -- event loop -------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next event, or ``float('inf')`` if the queue is empty."""
         if self._now_queue:
             return self.now
         times = self._times
-        return times[0] if times else float("inf")
+        slots = self._slots
+        while times:
+            if times[0] in slots:
+                return times[0]
+            heapq.heappop(times)  # a slot emptied by cancel
+        return _INF
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
         q = self._now_queue
         if not q:
             times = self._times
-            if not times:
-                raise SchedulingError("step() on an empty event queue")
-            t = heapq.heappop(times)
-            self._now_queue = q = self._slots.pop(t)
+            while not q:
+                if not times:
+                    raise SchedulingError("step() on an empty event queue")
+                t = heapq.heappop(times)
+                q = self._slots.pop(t, None)  # None: a slot emptied by cancel
+            self._now_queue = q
             self.now = t
         q.popleft()._process()
         self.events_processed += 1
@@ -326,47 +357,26 @@ class Simulator:
         * a float — run until simulated time reaches it (clock is advanced to
           exactly ``until`` even if no event lands there).
         * an :class:`Event` — run until it triggers; returns its value.
+
+        One loop serves all three: it drains the current slot's FIFO, then
+        advances the clock to the next slot.  The stop time is tested only
+        when the clock advances, and the stop event after each event (a
+        local ``None`` test when there is none), so no stop condition costs
+        a call per event.
         """
         stop_event: Optional[Event] = None
         stop_time: Optional[float] = None
+        horizon = _INF
         if isinstance(until, Event):
             stop_event = until
         elif until is not None:
-            stop_time = float(until)
+            horizon = stop_time = float(until)
             if stop_time < self.now:
                 raise SchedulingError(f"run(until={stop_time}) is in the past")
 
         self._stopping = False
-        if stop_event is None and stop_time is None:
-            return self._run_to_exhaustion()
-        try:
-            while self._now_queue or self._times:
-                if stop_event is not None and stop_event.triggered:
-                    return stop_event.value
-                if stop_time is not None and self.peek() > stop_time:
-                    self.now = stop_time
-                    return None
-                if self._stopping:
-                    return None
-                self.step()
-        except StopSimulation:
-            return None
-        if stop_event is not None:
-            if stop_event.triggered:
-                return stop_event.value
-            raise SchedulingError(
-                "run(until=event) exhausted the queue before the event fired"
-            )
-        if stop_time is not None:
-            self.now = stop_time
-        return None
-
-    def _run_to_exhaustion(self) -> None:
-        """The hot loop for ``run()`` with no stop condition.
-
-        Drains the active slot FIFO, then advances the clock to the next
-        slot, with everything the per-event path needs held in locals.
-        """
+        if stop_event is not None and stop_event.triggered:
+            return stop_event.value
         times = self._times
         slots = self._slots
         defunct = self._defunct
@@ -377,18 +387,38 @@ class Simulator:
                 q = self._now_queue
                 if not q:
                     if not times:
+                        break
+                    t = times[0]
+                    if t > horizon:
+                        self.now = horizon
                         return None
-                    t = pop_time(times)
-                    self._now_queue = q = slots.pop(t)
+                    pop_time(times)
+                    q = slots.pop(t, None)
+                    if q is None:
+                        continue  # a slot emptied by cancel
+                    self._now_queue = q
                     self.now = t
                 while q:
                     q.popleft()._process()
                     processed += 1
                     if defunct:
                         raise defunct.pop(0)
-                    if self._stopping:
+                    # An event has triggered once its value is no longer
+                    # pending (fail() sets it to None beside the error).
+                    if stop_event is not None and stop_event._value is not _PENDING:
+                        return stop_event.value
+                    if self._stopping and (q or self.peek() < _INF):
                         return None
         except StopSimulation:
             return None
         finally:
             self.events_processed += processed
+        if stop_event is not None:
+            if stop_event.triggered:
+                return stop_event.value
+            raise SchedulingError(
+                "run(until=event) exhausted the queue before the event fired"
+            )
+        if stop_time is not None:
+            self.now = stop_time
+        return None

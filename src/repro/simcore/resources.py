@@ -36,8 +36,8 @@ from typing import (
     Tuple,
 )
 
-from .errors import DuplicateKeyError, SimulationError
-from .event import Event
+from .errors import DuplicateKeyError, EventAlreadyTriggered, SimulationError
+from .event import _PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import Simulator
@@ -71,12 +71,24 @@ class RequestEvent(Event):
 
     __slots__ = ("state",)
 
+    # Request events are allocated, triggered and fired once per store
+    # operation, so the methods below set the fields directly instead of
+    # chaining through Event's; scheduling still goes through the kernel's
+    # _enqueue_now.
     def __init__(self, sim: "Simulator", name: str = "") -> None:
-        super().__init__(sim, name)
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._exception = None
+        self._scheduled = False
+        self.name = name
         self.state = WAITING
 
     def succeed(self, value: Any = None) -> "Event":
-        Event.succeed(self, value)
+        if self._value is not _PENDING or self._exception is not None:
+            raise EventAlreadyTriggered(f"{self!r} already triggered")
+        self.sim._enqueue_now(self)
+        self._value = value
         self.state = READY
         return self
 
@@ -87,7 +99,9 @@ class RequestEvent(Event):
 
     def _process(self) -> None:
         self.state = RUNNING
-        Event._process(self)
+        callbacks, self.callbacks = self.callbacks, None
+        for fn in callbacks:
+            fn(self)
 
 
 def _normalize_item_capacity(capacity: float) -> float:
@@ -114,7 +128,13 @@ class StorePut(RequestEvent):
     __slots__ = ("item",)
 
     def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.sim, name=store._put_name)
+        self.sim = store.sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._exception = None
+        self._scheduled = False
+        self.name = store._put_name
+        self.state = WAITING
         self.item = item
 
 
@@ -124,7 +144,13 @@ class StoreGet(RequestEvent):
     __slots__ = ("predicate",)
 
     def __init__(self, store: "Store", predicate: Optional[Callable[[Any], bool]] = None) -> None:
-        super().__init__(store.sim, name=store._get_name)
+        self.sim = store.sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._exception = None
+        self._scheduled = False
+        self.name = store._get_name
+        self.state = WAITING
         self.predicate = predicate
 
 
@@ -350,7 +376,13 @@ class KeyedStorePut(RequestEvent):
     __slots__ = ("key", "item")
 
     def __init__(self, store: "KeyedStore", key: Hashable, item: Any) -> None:
-        super().__init__(store.sim, name=store._put_name)
+        self.sim = store.sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._exception = None
+        self._scheduled = False
+        self.name = store._put_name
+        self.state = WAITING
         self.key = key
         self.item = item
 
@@ -361,7 +393,13 @@ class KeyedStoreGet(RequestEvent):
     __slots__ = ("key",)
 
     def __init__(self, store: "KeyedStore", key: Optional[Hashable]) -> None:
-        super().__init__(store.sim, name=store._get_name)
+        self.sim = store.sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._exception = None
+        self._scheduled = False
+        self.name = store._get_name
+        self.state = WAITING
         self.key = key
 
 

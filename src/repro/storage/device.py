@@ -14,7 +14,7 @@ P4600 (§V, Figs. 2–4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
@@ -284,19 +284,24 @@ class BlockDevice:
         nbytes: float,
         weight: float,
         op: str = "read",
+        done: Optional[Event] = None,
+        value: Any = None,
     ) -> Event:
         """Submission latency, then the transfer: a callback chain.
 
         The returned event is the one the channel settles, valued at the
         total service time (latency plus transfer duration); with no
-        latency and no telemetry it is simply the channel's own event.
+        latency and no telemetry it is simply the channel's own event.  A
+        caller that hands in ``done`` (and the ``value`` to settle it with)
+        has the channel settle that event instead.
         """
         sim = self.sim
         tel = sim.telemetry
         lat = self._latency(latency)
         if lat <= 0 and tel is None:
-            return channel.transfer(nbytes, weight)
-        done = Event(sim, name=self._io_name)
+            return channel.transfer(nbytes, weight, event=done, value=value)
+        if done is None:
+            done = Event(sim, name=self._io_name)
         span = None
         if tel is not None:
             span = tel.begin(
@@ -312,7 +317,7 @@ class BlockDevice:
                     tel.end(span, ok=ev.ok)
 
                 done.add_callback(finish)
-            channel.transfer(nbytes, weight, event=done, elapsed=lat)
+            channel.transfer(nbytes, weight, event=done, elapsed=lat, value=value)
 
         if lat <= 0:
             transfer()
@@ -338,11 +343,20 @@ class BlockDevice:
         return done
 
     # -- public API -------------------------------------------------------------
-    def read(self, nbytes: float, weight: float = 1.0) -> Event:
+    def read(
+        self,
+        nbytes: float,
+        weight: float = 1.0,
+        event: Optional[Event] = None,
+        value: Any = None,
+    ) -> Event:
         """Read ``nbytes``; the event value is the total service time.
 
         Reads of at least ``large_read_threshold`` bytes stream at the
         sequential rate (one request, no per-file overhead amplification).
+        A caller that already handed out ``event`` (a filesystem read) has
+        the device settle it with ``value`` when the transfer lands, instead
+        of forwarding a fresh event.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
@@ -351,10 +365,12 @@ class BlockDevice:
         if nbytes >= self.profile.large_read_threshold:
             self.counters.add("sequential_reads")
             return self._request(
-                self._seq_read_channel, self.profile.read_latency, nbytes, weight, op="seqread"
+                self._seq_read_channel, self.profile.read_latency, nbytes, weight,
+                "seqread", event, value,
             )
         return self._request(
-            self._read_channel, self.profile.read_latency, nbytes, weight, op="read"
+            self._read_channel, self.profile.read_latency, nbytes, weight,
+            "read", event, value,
         )
 
     def write(self, nbytes: float, weight: float = 1.0) -> Event:

@@ -213,12 +213,16 @@ class Filesystem:
         """The read past the fault hook: page cache, else the device.
 
         Settles ``done`` (made here when None) and returns it; a cache hit
-        with no ``done`` yet returns the service timeout itself.
+        with no ``done`` yet returns the service timeout itself.  A device
+        read hands ``done`` and the byte count to the device, which settles
+        it when the transfer lands (device reads do not fail; faults are
+        imposed above, by the fault hook).
         """
         sim = self.sim
         tel = sim.telemetry
-        if self.cache.capacity_bytes > 0 and self.cache.lookup(path):
-            hit = sim.timeout(self.cache.hit_service_time(nbytes), nbytes)
+        cache = self.cache
+        if cache.capacity_bytes > 0 and cache.lookup(path):
+            hit = sim.timeout(cache.hit_service_time(nbytes), nbytes)
             if span is not None:
                 hit.add_callback(lambda _ev: tel.end(span, outcome="cache-hit"))
             if done is None:
@@ -227,21 +231,18 @@ class Filesystem:
             return done
         if done is None:
             done = Event(sim, name=self._read_name)
+        if cache.capacity_bytes > 0 or span is not None:
 
-        def landed(ev: Event) -> None:
-            if not ev.ok:
+            def landed(_ev: Event) -> None:
+                if cache.capacity_bytes > 0:
+                    cache.insert(path, meta.size)
                 if span is not None:
-                    tel.end(span, outcome="error", error=type(ev.exception).__name__)
-                done.fail(process_error(f"fsread:{path}", ev.exception))
-                return
-            if self.cache.capacity_bytes > 0:
-                self.cache.insert(path, meta.size)
-            if span is not None:
-                tel.end(span, outcome="device")
-            done.succeed(nbytes)
+                    tel.end(span, outcome="device")
 
-        self.device.read(nbytes).add_callback(landed)
-        return done
+            # Ahead of any waiter: the fault path hands in an event its
+            # caller is already waiting on.
+            done.callbacks.insert(0, landed)
+        return self.device.read(nbytes, event=done, value=nbytes)
 
     def read_whole(self, path: str) -> Event:
         """Whole-file read (the DL sample-loading operation).

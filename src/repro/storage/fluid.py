@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..simcore.errors import SimulationError
-from ..simcore.event import Event
+from ..simcore.event import Event, Timeout
 from ..telemetry import TimeWeightedGauge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,18 +63,31 @@ def constant_capacity(rate: float) -> Callable[[int], float]:
     return lambda k: rate if k > 0 else 0.0
 
 
-@dataclass
 class _ActiveTransfer:
     """Book-keeping for one in-flight transfer."""
 
-    ident: int
-    remaining: float
-    weight: float
-    event: Event
-    started_at: float
-    nbytes: float
-    #: seconds the caller spent before the transfer, added to its duration
-    elapsed: float = 0.0
+    __slots__ = ("ident", "remaining", "weight", "event", "started_at", "nbytes", "elapsed", "value")
+
+    def __init__(
+        self,
+        ident: int,
+        nbytes: float,
+        weight: float,
+        event: Event,
+        started_at: float,
+        elapsed: float,
+        value: Any,
+    ) -> None:
+        self.ident = ident
+        self.remaining = nbytes
+        self.weight = weight
+        self.event = event
+        self.started_at = started_at
+        self.nbytes = nbytes
+        #: seconds the caller spent before the transfer, added to its duration
+        self.elapsed = elapsed
+        #: what the event settles with; None means the service time
+        self.value = value
 
 
 class FairShareChannel:
@@ -87,7 +99,9 @@ class FairShareChannel:
         The simulator this channel lives in.
     capacity_fn:
         Maps the number of active transfers ``k`` to the aggregate service
-        rate in bytes/second.  Must be non-decreasing in ``k``.
+        rate in bytes/second.  Must be non-decreasing in ``k``, and pure in
+        ``k``: the channel computes ``B(k)`` and the total weight once per
+        change of the active set (or of the curve), not per use.
     max_concurrency:
         Transfers beyond this limit queue FIFO (models a device queue-depth
         or server thread-pool cap).
@@ -111,8 +125,11 @@ class FairShareChannel:
         self._active: Dict[int, _ActiveTransfer] = {}
         self._pending: List[_ActiveTransfer] = []
         self._last_update = sim.now
-        #: invalidation token for the scheduled completion callback
-        self._timer_token = 0
+        #: B(k) and the total weight of the current active set
+        self._rate = 0.0
+        self._total_w = 0.0
+        #: the pending completion timer (cancelled when superseded)
+        self._timer: Optional[Timeout] = None
         #: observable concurrency gauge (drives utilization plots)
         self.concurrency = TimeWeightedGauge(sim, 0, name=f"{name}.concurrency")
         # lifetime counters
@@ -126,6 +143,7 @@ class FairShareChannel:
         weight: float = 1.0,
         event: Optional[Event] = None,
         elapsed: float = 0.0,
+        value: Any = None,
     ) -> Event:
         """Start moving ``nbytes``; the returned event triggers on completion.
 
@@ -134,7 +152,8 @@ class FairShareChannel:
         concurrency slot).  A caller that already handed out ``event`` and
         spent ``elapsed`` seconds before the transfer (a device's submission
         latency) has the channel settle that event with the whole service
-        time, instead of forwarding a fresh one.
+        time, instead of forwarding a fresh one — or with ``value``, when
+        given (a filesystem's byte count).
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
@@ -142,18 +161,12 @@ class FairShareChannel:
             raise ValueError("weight must be positive")
         if event is None:
             event = Event(self.sim, name=self._event_name)
-        entry = _ActiveTransfer(
-            ident=next(self._ids),
-            remaining=float(nbytes),
-            weight=float(weight),
-            event=event,
-            started_at=self.sim.now,
-            nbytes=float(nbytes),
-            elapsed=elapsed,
-        )
         if nbytes == 0:
-            event.succeed(elapsed)
+            event.succeed(elapsed if value is None else value)
             return event
+        entry = _ActiveTransfer(
+            next(self._ids), float(nbytes), float(weight), event, self.sim.now, elapsed, value
+        )
         self._advance()
         if len(self._active) < self.max_concurrency:
             self._admit(entry)
@@ -171,6 +184,7 @@ class FairShareChannel:
         """
         self._advance()
         self.capacity_fn = capacity_fn
+        self._active_changed()
         self._reschedule()
 
     @property
@@ -182,15 +196,22 @@ class FairShareChannel:
         return len(self._pending)
 
     def current_aggregate_rate(self) -> float:
-        return self.capacity_fn(len(self._active)) if self._active else 0.0
+        return self._rate
 
     # -- internals --------------------------------------------------------------
+    def _active_changed(self) -> None:
+        """Recompute B(k) and the total weight for the current active set."""
+        active = self._active
+        self.concurrency.set(len(active))
+        if active:
+            self._rate = self.capacity_fn(len(active))
+            self._total_w = sum(t.weight for t in active.values())
+        else:
+            self._rate = self._total_w = 0.0
+
     def _admit(self, entry: _ActiveTransfer) -> None:
         self._active[entry.ident] = entry
-        self.concurrency.set(len(self._active))
-
-    def _total_weight(self) -> float:
-        return sum(t.weight for t in self._active.values())
+        self._active_changed()
 
     def _advance(self) -> None:
         """Progress all active transfers from ``_last_update`` to now."""
@@ -199,8 +220,8 @@ class FairShareChannel:
         self._last_update = now
         if dt <= 0 or not self._active:
             return
-        rate = self.capacity_fn(len(self._active))
-        total_w = self._total_weight()
+        rate = self._rate
+        total_w = self._total_w
         if total_w <= 0:
             return
         for entry in self._active.values():
@@ -213,22 +234,32 @@ class FairShareChannel:
             del self._active[entry.ident]
             self.bytes_served += entry.nbytes
             self.transfers_completed += 1
-            entry.event.succeed(entry.elapsed + (self.sim.now - entry.started_at))
+            value = entry.value
+            if value is None:
+                value = entry.elapsed + (self.sim.now - entry.started_at)
+            entry.event.succeed(value)
         if finished:
             while self._pending and len(self._active) < self.max_concurrency:
-                self._admit(self._pending.pop(0))
-            self.concurrency.set(len(self._active))
+                entry = self._pending.pop(0)
+                self._active[entry.ident] = entry
+            self._active_changed()
 
     def _reschedule(self) -> None:
-        """(Re)arm the completion timer for the earliest-finishing transfer."""
-        self._timer_token += 1
-        token = self._timer_token
+        """(Re)arm the completion timer for the earliest-finishing transfer.
+
+        The timer it supersedes is cancelled: it would fire into an
+        outdated schedule and do nothing.
+        """
+        sim = self.sim
+        if self._timer is not None:
+            sim.cancel(self._timer)
+            self._timer = None
         if not self._active:
             return
-        rate = self.capacity_fn(len(self._active))
+        rate = self._rate
         if rate <= 0:
             raise SimulationError(f"channel {self.name!r} has zero rate with active transfers")
-        total_w = self._total_weight()
+        total_w = self._total_w
         horizon = min(
             t.remaining / (rate * t.weight / total_w) for t in self._active.values()
         )
@@ -236,13 +267,11 @@ class FairShareChannel:
         # residual on a multi-GB/s channel) would re-arm at the *same*
         # simulated instant forever.  Over-shooting is harmless — _advance
         # floors remaining at zero.
-        min_step = 4.0 * math.ulp(max(self.sim.now, 1e-9))
-        timer = self.sim.timeout(max(horizon, min_step))
-        timer.add_callback(lambda _ev, tok=token: self._on_timer(tok))
+        min_step = 4.0 * math.ulp(max(sim.now, 1e-9))
+        self._timer = timer = sim.timeout(max(horizon, min_step))
+        timer.add_callback(self._on_timer)
 
-    def _on_timer(self, token: int) -> None:
-        if token != self._timer_token:
-            return  # superseded by a later arrival/departure
+    def _on_timer(self, _ev: Event) -> None:
         self._advance()
         self._complete_finished()
         self._reschedule()

@@ -1,4 +1,4 @@
-"""Shared test configuration: hypothesis profiles.
+"""Shared test configuration: hypothesis profiles and the kernel probe.
 
 CI runs with ``HYPOTHESIS_PROFILE=ci`` — derandomized (fixed example
 order, so failures reproduce across runs) and with the deadline disabled
@@ -8,9 +8,40 @@ workloads legitimately take variable real time per example.
 """
 
 import os
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import settings
+
+from repro.simcore import Simulator
 
 settings.register_profile("ci", derandomize=True, deadline=None, max_examples=50)
 settings.register_profile("dev", deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+@pytest.fixture
+def kernel_probe(monkeypatch):
+    """Count kernel events and spawned processes, as the benchmark does.
+
+    ``events`` sums what every ``Simulator.run`` call advanced
+    ``events_processed`` by; ``spawned`` lists the source file of each
+    generator passed to ``Simulator.process``.
+    """
+    probe = SimpleNamespace(events=0, spawned=[])
+    run, process = Simulator.run, Simulator.process
+
+    def counted_run(sim, until=None):
+        before = sim.events_processed
+        try:
+            return run(sim, until)
+        finally:
+            probe.events += sim.events_processed - before
+
+    def counted_process(sim, generator, name=""):
+        probe.spawned.append(generator.gi_code.co_filename)
+        return process(sim, generator, name)
+
+    monkeypatch.setattr(Simulator, "run", counted_run)
+    monkeypatch.setattr(Simulator, "process", counted_process)
+    return probe

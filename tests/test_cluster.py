@@ -466,30 +466,17 @@ def test_cluster_serving_rejects_bad_args():
         run_cluster_serving(tier_slack=0.0)
 
 
-def test_cluster_read_path_event_budget(monkeypatch):
-    """A fault-free cooperative-cache read costs at most 12 kernel events
-    and spawns no process: the storage, tier, cluster and RPC layers are
-    callback chains.  Counted the way the benchmark probe counts them."""
-    events, spawned = [0], []
-    run, process = Simulator.run, Simulator.process
-
-    def counted_run(sim, until=None):
-        before = sim.events_processed
-        try:
-            return run(sim, until)
-        finally:
-            events[0] += sim.events_processed - before
-
-    def counted_process(sim, generator, name=""):
-        spawned.append(generator.gi_code.co_filename)
-        return process(sim, generator, name)
-
-    monkeypatch.setattr(Simulator, "run", counted_run)
-    monkeypatch.setattr(Simulator, "process", counted_process)
+def test_cluster_read_path_event_budget(kernel_probe):
+    """A fault-free cooperative-cache read costs at most 9.4 kernel events
+    (8.91 measured) and spawns no process: the storage, tier, cluster and
+    RPC layers are callback chains, and a settled RPC's deadline timer is
+    cancelled rather than left to fire.  Counted the way the benchmark
+    probe counts them."""
     report = run_cluster_serving(seed=0, n_nodes=8, n_files=64, epochs=2)
     assert report.completed and report.requests == 8 * 64 * 2
-    assert events[0] / report.requests <= 12
+    assert kernel_probe.events / report.requests <= 9.4
     # Only the experiment's own driver and per-epoch trainers are processes.
+    spawned = kernel_probe.spawned
     assert len(spawned) == 1 + 8 * 2
     assert all(f.endswith(os.path.join("experiments", "cluster.py")) for f in spawned)
 

@@ -6,8 +6,12 @@ falls, how many threads each system uses.  Full-resolution runs live in
 ``benchmarks/``.
 """
 
+import math
+import os
+
 import pytest
 
+from repro.dataset.synthetic import IMAGENET_TRAIN_FILES, IMAGENET_VAL_FILES
 from repro.experiments import (
     ExperimentScale,
     figure2_scale,
@@ -19,8 +23,10 @@ from repro.experiments import (
     run_torch_trial,
 )
 from repro.experiments.config import abci_node
+from repro.experiments.figure3 import Figure3Curve, Figure3Result
 from repro.experiments.report import format_figure2, format_figure3, format_figure4
 from repro.frameworks.models import LENET, RESNET50
+from repro.metrics.cdf import DiscreteCDF
 
 #: Small-but-faithful scale for tests: 3202 train files, 100 batches at bs32.
 TEST_SCALE = ExperimentScale(scale=400, epochs=1)
@@ -111,6 +117,34 @@ def test_figure2_result_structure():
     assert "tf-prisma" in table and "lenet" in table
 
 
+def test_figure2_prisma_trial_event_budget(kernel_probe):
+    """A quick Figure-2 ``tf-prisma`` trial costs at most 12 kernel events
+    per sample (11.05 measured) and spawns no process per sample: buffer
+    inserts and requests return the store's own events, a serve's copy-out
+    fires the serve event itself, and a filesystem read is settled by the
+    device.  Counted the way the benchmark probe counts them."""
+    scale = figure2_scale(quick=True)
+    trial = run_tf_trial("tf-prisma", LENET, 256, scale, seed=0)
+    n_train = max(IMAGENET_TRAIN_FILES // scale.scale, 1)
+    n_val = max(IMAGENET_VAL_FILES // scale.scale, 1)
+    for epoch in trial.training.epoch_stats:
+        assert epoch.train_batches == math.ceil(n_train / 256)
+    samples = scale.epochs * (n_train + n_val)
+    assert kernel_probe.events / samples <= 12
+    # Long-lived processes only: the pipeline stages, producers, trainer,
+    # controller and model; none per sample.
+    spawned = kernel_probe.spawned
+    assert len(spawned) * 100 < samples
+    owners = {os.path.join(*os.path.normpath(f).split(os.sep)[-2:]) for f in spawned}
+    assert owners <= {
+        os.path.join("tensorflow", "pipeline.py"),
+        os.path.join("core", "prefetcher.py"),
+        os.path.join("frameworks", "training.py"),
+        os.path.join("control", "controller.py"),
+        os.path.join("frameworks", "models.py"),
+    }
+
+
 # ---------------------------------------------------------------- Figure 3 shape
 def test_figure3_prisma_uses_few_threads():
     result = run_figure3(scale=TEST_SCALE, models=(LENET,), batch_size=TEST_BATCH)
@@ -123,6 +157,21 @@ def test_figure3_prisma_uses_few_threads():
     assert max(ratios.values()) >= 2.0  # "2-7x more threads"
     table = format_figure3(result)
     assert "tf-prisma" in table
+
+
+def test_figure3_ratio_rows_follow_curve_order():
+    """The thread-ratio table lists models in curve order, never hash order."""
+    wide = DiscreteCDF((1.0, 8.0), (0.5, 1.0))
+    narrow = DiscreteCDF((1.0, 2.0), (0.5, 1.0))
+    # Two opposite orders: a set iterates both the same way, whatever the seed.
+    for order in (["resnet50", "alexnet", "lenet"], ["lenet", "alexnet", "resnet50"]):
+        result = Figure3Result()
+        for model in order:
+            result.curves.append(Figure3Curve(model, "tf-optimized", wide, None))
+            result.curves.append(Figure3Curve(model, "tf-prisma", narrow, None))
+        ratio_table = format_figure3(result).split("thread ratio")[1]
+        rows = [line.split()[0] for line in ratio_table.splitlines() if "p50=" in line]
+        assert rows == order
 
 
 # ---------------------------------------------------------------- Figure 4 shape

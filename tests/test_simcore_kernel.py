@@ -331,3 +331,233 @@ def test_active_process_visible_during_execution():
     sim.run()
     assert seen == [p]
     assert sim.active_process is None
+
+
+# ---------------------------------------------------------------- run loop stops
+def test_run_until_event_keeps_the_clock_at_the_trigger():
+    """The event that triggers the stop is the last of its slot: the run
+    returns at that time, without advancing to the next slot."""
+    sim = Simulator()
+    done = sim.event()
+    sim.timeout(1.0).add_callback(lambda _ev: done.succeed("ok"))
+    later = sim.timeout(2.0)
+    assert sim.run(until=done) == "ok"
+    assert sim.now == 1.0
+    assert not later.processed
+
+
+def test_run_until_already_triggered_event_processes_nothing():
+    sim = Simulator()
+    ev = sim.event()
+    ev.succeed(7)
+    pending = sim.timeout(1.0)
+    assert sim.run(until=ev) == 7
+    assert sim.now == 0.0 and not pending.processed
+
+
+def test_run_until_failed_event_raises_its_error():
+    sim = Simulator()
+    ev = sim.event()
+    sim.timeout(1.0).add_callback(lambda _ev: ev.fail(ValueError("boom")))
+    with pytest.raises(ValueError, match="boom"):
+        sim.run(until=ev)
+    assert sim.now == 1.0
+
+
+def test_stop_in_the_last_event_of_a_slot_keeps_the_clock():
+    sim = Simulator()
+    sim.timeout(1.0).add_callback(lambda _ev: sim.stop())
+    later = sim.timeout(2.0)
+    sim.run(until=5.0)
+    assert sim.now == 1.0
+    assert not later.processed
+    sim.run(until=5.0)  # a new run clears the stop request
+    assert later.processed and sim.now == 5.0
+
+
+def test_run_counts_events_in_every_mode():
+    sim = Simulator()
+    for delay in (0.0, 1.0, 2.0, 3.0):
+        sim.timeout(delay)
+    sim.run(until=1.5)
+    assert sim.events_processed == 2
+    last = sim.timeout(0.25)
+    sim.run(until=last)
+    assert sim.events_processed == 3
+    sim.run()
+    assert sim.events_processed == 5
+
+
+# ---------------------------------------------------------------- cancel
+def test_cancelled_timer_never_fires():
+    sim = Simulator()
+    fired = []
+    keep = sim.timeout(1.0)
+    keep.add_callback(lambda _ev: fired.append("keep"))
+    drop = sim.timeout(2.0)
+    drop.add_callback(lambda _ev: fired.append("drop"))
+    sim.cancel(drop)
+    sim.run()
+    assert fired == ["keep"]
+    assert not drop.triggered and not drop.processed
+    # The clock never visits the cancelled timer's time.
+    assert sim.now == 1.0
+    assert sim.events_processed == 1
+
+
+def test_cancel_in_a_shared_slot_keeps_the_others_in_order():
+    sim = Simulator()
+    fired = []
+    timers = [sim.timeout(1.0, value=i) for i in range(4)]
+    for t in timers:
+        t.add_callback(lambda ev: fired.append(ev.value))
+    sim.cancel(timers[1])
+    sim.run()
+    assert fired == [0, 2, 3]
+
+
+def test_cancel_a_timer_due_now():
+    """A zero-delay timer, and one due in the slot being drained."""
+    sim = Simulator()
+    fired = []
+    zero = sim.timeout(0.0)
+    zero.add_callback(lambda _ev: fired.append("zero"))
+    sim.cancel(zero)
+    first = sim.timeout(1.0)
+    second = sim.timeout(1.0)
+    second.add_callback(lambda _ev: fired.append("second"))
+    first.add_callback(lambda _ev: sim.cancel(second))
+    sim.run()
+    assert fired == []
+    assert sim.now == 1.0
+
+
+def test_cancel_fired_or_cancelled_timer_is_a_noop():
+    sim = Simulator()
+    fired = sim.timeout(1.0)
+    sim.run()
+    sim.cancel(fired)  # already fired
+    assert fired.processed and fired.value is None
+    pending = sim.timeout(1.0)
+    sim.cancel(pending)
+    sim.cancel(pending)  # already cancelled
+    sim.run()
+    assert sim.now == 1.0
+
+
+def test_cancel_the_firing_timer_from_its_own_callback_is_a_noop():
+    sim = Simulator()
+    seen = []
+    timer = sim.timeout(1.0, value="v")
+    timer.add_callback(lambda ev: sim.cancel(ev))
+    timer.add_callback(lambda ev: seen.append(ev.value))
+    sim.run()
+    assert seen == ["v"]
+
+
+def test_peek_and_step_skip_cancelled_slots():
+    sim = Simulator()
+    early = sim.timeout(1.0)
+    late = sim.timeout(3.0)
+    sim.cancel(early)
+    assert sim.peek() == 3.0
+    sim.step()
+    assert sim.now == 3.0 and late.processed
+    assert sim.peek() == float("inf")
+    with pytest.raises(SchedulingError, match="empty event queue"):
+        sim.step()
+
+
+def test_run_until_time_skips_cancelled_slots():
+    sim = Simulator()
+    sim.cancel(sim.timeout(1.0))
+    late = sim.timeout(4.0)
+    sim.run(until=2.0)
+    assert sim.now == 2.0 and not late.processed
+    sim.cancel(late)
+    sim.run(until=6.0)
+    assert sim.now == 6.0
+    assert sim.events_processed == 0
+
+
+def test_run_until_event_with_only_cancelled_slots_left():
+    sim = Simulator()
+    ev = sim.event()
+    sim.cancel(sim.timeout(1.0))
+    sim.cancel(sim.timeout(2.0))
+    with pytest.raises(SchedulingError, match="exhausted the queue before the event fired"):
+        sim.run(until=ev)
+
+
+def test_reschedule_at_a_cancelled_time_fires_once():
+    """A new event at the time of an emptied slot gets a fresh slot."""
+    sim = Simulator()
+    fired = []
+    sim.cancel(sim.timeout(2.0))
+    sim.timeout(1.0).add_callback(
+        lambda _ev: sim.timeout(1.0).add_callback(lambda _e: fired.append(sim.now))
+    )
+    sim.run()
+    assert fired == [2.0]
+    assert sim.events_processed == 2
+
+
+# ---------------------------------------------------------------- deferred trigger
+def test_succeed_after_fires_at_the_deferred_time():
+    sim = Simulator()
+    ev = sim.event()
+    seen = []
+
+    def waiter(sim):
+        value = yield ev
+        seen.append((sim.now, value))
+
+    sim.process(waiter(sim))
+    ev.succeed_after(2.5, "late")
+    assert not ev.triggered  # triggers only when the clock reaches it
+    sim.run(until=1.0)
+    assert not ev.triggered
+    sim.run()
+    assert seen == [(2.5, "late")]
+    assert ev.processed and ev.value == "late"
+
+
+def test_succeed_after_fires_in_slot_order():
+    sim = Simulator()
+    order = []
+    before = sim.timeout(1.0)
+    before.add_callback(lambda _ev: order.append("before"))
+    ev = sim.event()
+    ev.add_callback(lambda _ev: order.append("deferred"))
+    ev.succeed_after(1.0)
+    after = sim.timeout(1.0)
+    after.add_callback(lambda _ev: order.append("after"))
+    sim.run()
+    assert order == ["before", "deferred", "after"]
+
+
+def test_succeed_after_keeps_the_double_trigger_errors():
+    sim = Simulator()
+    done = sim.event()
+    done.succeed(1)
+    with pytest.raises(EventAlreadyTriggered):
+        done.succeed_after(1.0, 2)
+    deferred = sim.event()
+    deferred.succeed_after(1.0, "a")
+    with pytest.raises(SchedulingError, match="already scheduled"):
+        deferred.succeed_after(2.0, "b")
+    with pytest.raises(SchedulingError, match="already scheduled"):
+        deferred.succeed("c")
+    with pytest.raises(SchedulingError, match="already scheduled"):
+        deferred.fail(RuntimeError("d"))
+    assert not deferred.triggered
+    sim.run()
+    assert deferred.value == "a"
+    with pytest.raises(EventAlreadyTriggered):
+        deferred.succeed_after(0.0)
+
+
+def test_succeed_after_rejects_a_negative_delay():
+    sim = Simulator()
+    with pytest.raises(SchedulingError):
+        sim.event().succeed_after(-1.0)

@@ -189,6 +189,93 @@ def test_canonical_workload_is_kernel_equivalent(scale):
     assert logs[0] == logs[1] == logs[2] == logs[3]
 
 
+# ---------------------------------------------------------------- cancel oracle
+def run_with_timers(plans, pause, cancel):
+    """Run a scenario of workers and cancellable timers; return the log.
+
+    Each plan is ``(start, delay, cancel_after)``: a worker sleeps
+    ``start``, arms a timer due ``delay`` later, and — when
+    ``cancel_after`` is set — withdraws it ``cancel_after`` after arming
+    (before it is due, in its own slot, or after it fired).  With ``cancel`` the withdrawal is
+    ``Simulator.cancel``; without, the timer stays in place and its
+    callback turns into a no-op, which is what cancel must be equivalent to.
+    """
+    sim = Simulator()
+    log = []
+    withdrawn = set()
+
+    def fire(ev, tid):
+        if tid not in withdrawn:
+            log.append(("fire", sim.now, tid))
+
+    def withdraw(timer, tid):
+        log.append(("withdraw", sim.now, tid))
+        if cancel:
+            sim.cancel(timer)
+        else:
+            withdrawn.add(tid)
+
+    def worker(sim, tid, start, delay, cancel_after):
+        yield sim.timeout(start)
+        log.append(("arm", sim.now, tid))
+        armed = []
+        if cancel_after is not None:
+            # Scheduled ahead of the timer: at an equal delay the withdrawal
+            # fires first and takes the timer out of the slot being drained.
+            sim.timeout(cancel_after).add_callback(lambda _ev: withdraw(armed[0], tid))
+        timer = sim.timeout(delay)
+        timer.add_callback(lambda ev: fire(ev, tid))
+        armed.append(timer)
+        # Keep working past the timer, so later events interleave with it.
+        yield sim.timeout(delay)
+        log.append(("wake", sim.now, tid))
+
+    for tid, (start, delay, cancel_after) in enumerate(plans):
+        sim.process(worker(sim, tid, start, delay, cancel_after))
+    sim.run(until=pause)
+    log.append(("pause", sim.now, -1))
+    sim.run()
+    return log
+
+
+@given(
+    st.lists(
+        st.tuples(delay_grid, delay_grid, st.one_of(st.none(), delay_grid)),
+        min_size=1,
+        max_size=16,
+    ),
+    delay_grid,
+)
+@settings(max_examples=80)
+def test_cancel_matches_a_noop_timer(plans, pause):
+    """Cancelling a timer whose callback would do nothing fires every other
+    event in the same order, at the same times."""
+    cancelled = run_with_timers(plans, pause, cancel=True)
+    kept = run_with_timers(plans, pause, cancel=False)
+    assert cancelled == kept
+    assert cancelled == run_with_timers(plans, pause, cancel=True)
+
+
+@given(st.lists(st.tuples(delay_grid, delay_grid), min_size=1, max_size=12))
+@settings(max_examples=60)
+def test_deferred_trigger_ordering_matches_heap_kernel(plans):
+    """``succeed_after`` fires in the slot FIFO order on both kernels."""
+
+    def build(sim, log):
+        def proc(sim, pid, first, second):
+            yield sim.timeout(first)
+            ev = sim.event()
+            ev.add_callback(lambda e: log.append(("deferred", sim.now, e.value)))
+            ev.succeed_after(second, pid)
+            value = yield ev
+            log.append(("resumed", sim.now, value))
+
+        for pid, (first, second) in enumerate(plans):
+            sim.process(proc(sim, pid, first, second))
+
+    assert_equivalent(build)
+
+
 # ---------------------------------------------------------------- invariants
 def test_same_time_fifo_interleaves_prescheduled_and_immediate():
     """Events landing at t via the heap and via succeed() share one FIFO."""
