@@ -82,12 +82,17 @@ def _merged_windows(
 
 
 class _ReadMeter:
-    """Samples a backend's cumulative read bytes on a fixed sim-time grid.
+    """A backend's cumulative read bytes, sampled on a fixed sim-time grid.
 
-    Post-run, :meth:`bytes_at` interpolates the cumulative curve so burst
-    windows (known only after the run) can be integrated exactly against
-    the samples.  The sampler is an infinite process — safe because trials
-    drive the simulator with ``run(until=done)``.
+    The meter stands between the POSIX layer and the backend, forwarding
+    ``stat`` and ``read`` (all a :class:`~repro.storage.posix.PosixLayer`
+    uses).  It records what a sampler waking every ``dt`` from the
+    meter's start would see, without waking: the count changes only as a
+    read completes, so each completion first fills in the grid points up
+    to now with the count from before it.  :meth:`finalize` fills in the
+    rest and adds the final count; :meth:`bytes_at` then interpolates, so
+    burst windows (known only after the run) integrate exactly against
+    the samples.
     """
 
     def __init__(self, sim: Simulator, backend, dt: float) -> None:
@@ -96,15 +101,35 @@ class _ReadMeter:
         self.times: List[float] = [0.0]
         self.values: List[float] = [0.0]
         self._dt = dt
-        sim.process(self._sample(), name="writes.readmeter")
+        self._next = sim.now + dt
+        self._bytes = float(backend.bytes_read())
 
-    def _sample(self):
-        while True:
-            yield self.sim.timeout(self._dt)
-            self.times.append(self.sim.now)
-            self.values.append(float(self.backend.bytes_read()))
+    def stat(self, path: str):
+        return self.backend.stat(path)
+
+    def read(self, path: str, offset: int = 0, length: Optional[int] = None):
+        read = self.backend.read(path, offset, length)
+        read.add_callback(self._read_done)
+        return read
+
+    def _read_done(self, _ev) -> None:
+        self._fill(self.sim.now)
+        self._bytes = float(self.backend.bytes_read())
+
+    def _fill(self, until: float) -> None:
+        """Sample the grid points up to ``until`` at the current count.
+
+        A point at a read's own instant takes the count from before it.
+        """
+        t = self._next
+        while t <= until:
+            self.times.append(t)
+            self.values.append(self._bytes)
+            t += self._dt
+        self._next = t
 
     def finalize(self) -> None:
+        self._fill(self.sim.now)
         self.times.append(self.sim.now)
         self.values.append(float(self.backend.bytes_read()))
 
@@ -227,7 +252,8 @@ def run_write_trial(
     backend = build_backend(sim, backend_config_for(config, write_penalty), streams=streams)
     catalog = DatasetCatalog("/data/train", uniform_sizes(n_files, n_files * file_size))
     catalog.materialize(backend)
-    posix = PosixLayer(sim, backend)
+    meter = _ReadMeter(sim, backend, sample_dt)
+    posix = PosixLayer(sim, meter)
     shuffler = EpochShuffler(n_files, streams.spawn("shuffle.train"))
     model = LENET
 
@@ -252,7 +278,6 @@ def run_write_trial(
             synchronous=not setup.endswith("-async"),
         ),
     )
-    meter = _ReadMeter(sim, backend, sample_dt)
     gpus = GpuEnsemble(sim, n_gpus=4)
     trainer = Trainer(
         sim, model, gpus, train_src,

@@ -4,18 +4,18 @@ Reproduces the two TensorFlow setups of the paper's evaluation (§V-A):
 
 * **TF baseline** — "non-optimized deployment with single-threaded disk
   operations without data prefetching": one reader thread, a sequentially
-  small amount of in-flight data (pull-driven stores of depth 1–2), no
-  prefetch buffer.
+  small amount of in-flight data (stage queues of depth 1–2), no prefetch
+  buffer.
 * **TF optimized** — "disk I/O parallelism and prefetching optimizations,
   managed by TensorFlow's auto-tuning mechanism": a pool of reader threads
   (TF allocates its full intra-op budget — the paper observes 30 threads),
   parallel map, and a prefetch stage whose buffer limit is governed by the
   :class:`~repro.frameworks.tensorflow.autotune.PrefetchAutotuner` port.
 
-Stages are connected by bounded stores, exactly like tf.data's internal
-element queues::
+Stages are connected by bounded queues, exactly like tf.data's internal
+element queues, and run as one callback state machine::
 
-    readers (xR) -> raw_store -> mappers (xM) -> mapped_store
+    readers (xR) -> raw[depth] -> mappers (xM) -> mapped[depth]
                  -> batcher -> batch_store[prefetch] -> GetNext()
 
 All file reads go through a :class:`~repro.storage.posix.PosixLike`
@@ -25,11 +25,14 @@ in for the storage backend (the paper's 10-LoC TensorFlow integration).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from collections import deque
+from functools import partial
+from typing import TYPE_CHECKING, Deque, List, Optional
 
 from ...dataset.catalog import DatasetCatalog
 from ...dataset.shuffle import EpochShuffler, SequentialOrder
-from ...simcore.event import Event, chain_result
+from ...simcore.errors import process_error
+from ...simcore.event import Event
 from ...simcore.resources import Store
 from ...telemetry import TimeWeightedGauge
 from ..models import ModelProfile
@@ -40,12 +43,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...simcore.kernel import Simulator
     from ...storage.posix import PosixLike
 
-#: Sentinel marking end-of-epoch inside inter-stage stores.
-_END = object()
+#: The batcher holds nothing (a held ``None`` is the end-of-epoch marker).
+_NOTHING = object()
 
 
 class TFDataPipeline(DataSource):
     """A configurable tf.data-style pipeline serving batches of samples.
+
+    Each epoch, ``reader_threads`` readers claim read units (here sample
+    files of ``catalog``) in the shuffler's order, read each whole, and
+    stage its records into ``raw``; ``map_threads`` mappers preprocess
+    staged records, one timer each; the batcher counts mapped records
+    into batches for the trainer-facing store, which ends the epoch with
+    ``None``.  ``raw`` and ``mapped`` hold ``stage_depth`` records each,
+    and a full queue blocks the stage that feeds it.  No stage is a
+    process: only the timers and the store's gets reach the kernel.
+
+    Within one timestamp the hand-offs keep the order of stage processes
+    joined by stores: an epoch's first reads wait one kernel event after
+    :meth:`begin_epoch`; a reader moves on before the mapper its last
+    record wakes; a finished map is counted before its mapper takes the
+    next record, and before the reader that record unblocks.  A failed
+    read aborts the run as a dead reader process would, with
+    ``ProcessError("process '<name>.reader<r>' failed: …")`` whose
+    ``__cause__`` is the read's error.
 
     Parameters
     ----------
@@ -58,7 +79,7 @@ class TFDataPipeline(DataSource):
         the next batch synchronously); an integer fixes the buffer size; the
         string ``"autotune"`` enables the :class:`PrefetchAutotuner`.
     stage_depth:
-        Capacity of the inter-stage element stores; small values keep the
+        Capacity of the inter-stage element queues; small values keep the
         baseline pull-like, larger ones let the optimized pipeline run ahead.
     """
 
@@ -114,94 +135,170 @@ class TFDataPipeline(DataSource):
         self.samples_read = 0
         self.bytes_read = 0
 
-        # Per-epoch state, rebuilt by begin_epoch.
-        self._raw_store: Optional[Store] = None
-        self._mapped_store: Optional[Store] = None
-        self._batch_store: Optional[Store] = None
+        #: per reader: its read-completion callback, and the unit it reads
+        self._landed = [partial(self._on_read, r) for r in range(reader_threads)]
+        self._reading: List[int] = [0] * reader_threads
+
+        # The rest of the per-epoch state is set by begin_epoch.
         self._epoch_order: Optional[List[int]] = None
-        self._cursor = 0
+        self._batch_store: Optional[Store] = None
+
+    # -- read units ------------------------------------------------------------------
+    def _epoch_records(self) -> int:
+        """How many records the epoch's read units hold."""
+        return len(self._epoch_order)
+
+    def _unit_landed(self, unit: int, nbytes: int) -> int:
+        """Count a landed read; returns how many records it stages."""
+        self.samples_read += 1
+        self.bytes_read += nbytes
+        return 1
 
     # -- epoch machinery -----------------------------------------------------------
     def begin_epoch(self, epoch: int) -> None:
-        order = self.shuffler.order(epoch)
-        self._epoch_order = [int(i) for i in order]
+        self._epoch_order = [int(i) for i in self.shuffler.order(epoch)]
         self._cursor = 0
-        n = len(self._epoch_order)
-        self._raw_store = Store(self.sim, capacity=self.stage_depth, name=f"{self.name}.raw")
-        self._mapped_store = Store(self.sim, capacity=self.stage_depth, name=f"{self.name}.mapped")
-        self._batch_store = Store(self.sim, capacity=self._batch_capacity, name=f"{self.name}.batches")
+        self._unbatched = self._epoch_records()
+        #: staged records no mapper took; blocked readers, FIFO:
+        #: [reader, records left to stage]
+        self._raw = 0
+        self._blocked: Deque[List[int]] = deque()
+        self._idle_mappers = self.map_threads
+        #: records mapped while the batcher holds a batch, and mappers
+        #: holding one more while ``mapped`` is full
+        self._mapped = self._stalled_mappers = 0
+        self._in_batch = 0
+        #: the batch (or end marker) waiting for room in the batch store
+        self._held: object = _NOTHING
+        self._batch_store = Store(
+            self.sim, capacity=self._batch_capacity, name=f"{self.name}.batches"
+        )
+        self.sim.timeout(0).add_callback(self._start)
+
+    def _start(self, _ev: Event) -> None:
         for r in range(self.reader_threads):
-            self.sim.process(self._reader(), name=f"{self.name}.reader{r}")
-        for m in range(self.map_threads):
-            self.sim.process(self._mapper(), name=f"{self.name}.mapper{m}")
-        self.sim.process(self._batcher(n), name=f"{self.name}.batcher")
+            self._read_next(r)
 
-    def _claim_index(self) -> Optional[int]:
-        """Atomically take the next sample index of the epoch order."""
-        assert self._epoch_order is not None
-        if self._cursor >= len(self._epoch_order):
-            return None
-        idx = self._epoch_order[self._cursor]
-        self._cursor += 1
-        return idx
+    def _read_next(self, r: int) -> None:
+        """Reader ``r`` claims the next unit of the epoch and reads it."""
+        order = self._epoch_order
+        cursor = self._cursor
+        if cursor == len(order):
+            return
+        self._cursor = cursor + 1
+        unit = self._reading[r] = order[cursor]
+        self.active_readers.increment()
+        self.posix.read_whole(self.catalog.path(unit)).add_callback(self._landed[r])
 
-    def _reader(self):
-        assert self._raw_store is not None
-        while True:
-            idx = self._claim_index()
-            if idx is None:
+    def _on_read(self, r: int, ev: Event) -> None:
+        if not ev.ok:
+            raise process_error(f"{self.name}.reader{r}", ev.exception)
+        self.active_readers.decrement()
+        self._stage(r, self._unit_landed(self._reading[r], ev.value))
+
+    def _stage(self, r: int, records: int) -> None:
+        """Stage reader ``r``'s ``records``, then issue its next read.
+
+        A free mapper takes a record as it is staged; the reader blocks on
+        the first record that finds ``raw`` full.  The last record's
+        mapper starts once the reader has moved on.
+        """
+        map_last = False
+        while records:
+            if self._raw == self.stage_depth:
+                self._blocked.append([r, records])
                 return
-            path = self.catalog.path(idx)
-            self.active_readers.increment()
-            nbytes = yield self.posix.read_whole(path)
-            self.active_readers.decrement()
-            self.samples_read += 1
-            self.bytes_read += nbytes
-            yield self._raw_store.put(idx)
+            records -= 1
+            if not self._idle_mappers:
+                self._raw += 1
+                continue
+            self._idle_mappers -= 1
+            if records:
+                self._map()
+            else:
+                map_last = True
+        self._read_next(r)
+        if map_last:
+            self._map()
 
-    def _mapper(self):
-        raw, mapped = self._raw_store, self._mapped_store
-        assert raw is not None and mapped is not None
-        cost = self.model.preprocess_time_per_image
-        while True:
-            item = yield raw.get()
-            if item is _END:
-                yield raw.put(_END)  # re-broadcast so sibling mappers stop
-                return
-            if cost > 0:
-                yield self.sim.timeout(cost)
-            yield mapped.put(item)
+    def _map(self) -> None:
+        """A mapper preprocesses one record: one timer per record."""
+        self.sim.timeout(self.model.preprocess_time_per_image).add_callback(self._mapped_one)
 
-    def _batcher(self, total_samples: int):
-        mapped, batches = self._mapped_store, self._batch_store
-        assert mapped is not None and batches is not None
-        remaining = total_samples
-        while remaining > 0:
-            take = min(self.batch_size, remaining)
-            for _ in range(take):
-                yield mapped.get()
-            remaining -= take
-            yield batches.put(take)
-        yield batches.put(_END)
-        # Wake the mappers so they exit instead of idling forever.
-        assert self._raw_store is not None
-        yield self._raw_store.put(_END)
+    def _mapped_one(self, _ev: Event) -> None:
+        if self._held is _NOTHING:
+            self._count()
+        elif self._mapped < self.stage_depth:
+            self._mapped += 1
+        else:
+            self._stalled_mappers += 1
+            return
+        self._take_record()
+
+    def _take_record(self) -> None:
+        """A free mapper takes the next staged record, or idles."""
+        if not self._raw:
+            self._idle_mappers += 1
+        elif self._blocked:
+            # The freed slot admits the first blocked reader's record.
+            r, records = self._blocked.popleft()
+            self._map()
+            self._stage(r, records - 1)
+        else:
+            self._raw -= 1
+            self._map()
+
+    def _count(self) -> None:
+        """The batcher counts one mapped record into the current batch."""
+        self._in_batch += 1
+        size = self._in_batch
+        if size == self.batch_size or size == self._unbatched:
+            self._in_batch = 0
+            self._unbatched -= size
+            self._emit(size)
+
+    def _emit(self, item: Optional[int]) -> None:
+        """Hand ``item`` to the batch store, or hold it while the store is
+        full; the end marker follows the epoch's last batch."""
+        if not self._batch_store.offer(item):
+            self._held = item
+        elif item is not None and not self._unbatched:
+            self._emit(None)
+
+    def _release(self) -> None:
+        """Store the held item if there is room; the batcher then resumes,
+        draining ``mapped``: each record it takes admits a stalled
+        mapper's, and that mapper goes on to the next staged record."""
+        held = self._held
+        if held is _NOTHING:
+            return
+        self._held = _NOTHING
+        self._emit(held)
+        while self._mapped and self._held is _NOTHING:
+            stalled = self._stalled_mappers
+            if stalled:
+                self._stalled_mappers = stalled - 1
+            else:
+                self._mapped -= 1
+            self._count()
+            if stalled:
+                self._take_record()
 
     # -- DataSource API -----------------------------------------------------------
     def next_batch(self) -> Event:
-        assert self._batch_store is not None, "begin_epoch() not called"
-        if self.autotuner is not None:
-            self.autotuner.record_consumption(self._batch_store.level)
-            if self.autotuner.buffer_limit != self._batch_capacity:
-                self._batch_capacity = self.autotuner.buffer_limit
-                self._batch_store.set_capacity(self._batch_capacity)
-        done = Event(self.sim, name=f"{self.name}.next")
-        inner = self._batch_store.get()
-        return chain_result(inner, done, lambda v: None if v is _END else v)
+        store = self._batch_store
+        assert store is not None, "begin_epoch() not called"
+        tuner = self.autotuner
+        if tuner is not None:
+            tuner.record_consumption(store.level)
+            if tuner.buffer_limit != self._batch_capacity:
+                self._batch_capacity = tuner.buffer_limit
+                store.set_capacity(self._batch_capacity)
+        batch = store.get()
+        self._release()
+        return batch
 
     def end_epoch(self) -> None:
-        self._raw_store = None
-        self._mapped_store = None
         self._batch_store = None
         self._epoch_order = None
 

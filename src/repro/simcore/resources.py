@@ -222,6 +222,22 @@ class Store:
         self._dispatch()
         return event
 
+    def offer(self, item: Any) -> bool:
+        """Admit ``item`` now if there is room, without a put event.
+
+        The producer side for a caller that is not a process and keeps
+        its own backlog: returns False, admitting nothing, when the store
+        is full (as it is while any put queues).  Queued getters are
+        served as by :meth:`put`.
+        """
+        if len(self.items) >= self.capacity:
+            return False
+        self._account()
+        self.items.append(item)
+        self.peak_items = max(self.peak_items, len(self.items))
+        self._dispatch()
+        return True
+
     def _try_put(self, event: StorePut) -> bool:
         if len(self.items) < self.capacity:
             self._account()

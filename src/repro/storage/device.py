@@ -302,21 +302,24 @@ class BlockDevice:
             return channel.transfer(nbytes, weight, event=done, value=value)
         if done is None:
             done = Event(sim, name=self._io_name)
-        span = None
+        span = service = None
         if tel is not None:
             span = tel.begin(
                 f"dev.{op}", self._track, "storage", lane=True, bytes=float(nbytes)
             )
 
+            def finish(ev: Event) -> None:
+                tel.end(service)
+                tel.end(span, ok=ev.ok)
+
+            # Ahead of any waiter: a caller that issues its next request
+            # from this one's completion finds the lane free again.
+            done.callbacks.insert(0, finish)
+
         def transfer(_ev: Optional[Event] = None) -> None:
+            nonlocal service
             if span is not None:
                 service = tel.begin("dev.transfer", span.track, "storage")
-
-                def finish(ev: Event) -> None:
-                    tel.end(service)
-                    tel.end(span, ok=ev.ok)
-
-                done.add_callback(finish)
             channel.transfer(nbytes, weight, event=done, elapsed=lat, value=value)
 
         if lat <= 0:

@@ -12,8 +12,9 @@ from repro.frameworks.tensorflow import (
     tf_baseline,
     tf_optimized,
 )
-from repro.simcore import RandomStreams, Simulator
+from repro.simcore import ProcessError, RandomStreams, Simulator
 from repro.storage import BlockDevice, Filesystem, PosixLayer, ramdisk
+from repro.storage.filesystem import ReadFault, TransientReadError
 
 
 def make_env(n_train=64, n_val=16):
@@ -124,6 +125,39 @@ def test_tf_active_reader_gauge_bounded_by_thread_count():
     )
     trainer.run_to_completion()
     assert src.active_readers.max_seen() <= 3
+
+
+def test_tf_baseline_failed_read_aborts_the_run_as_its_reader():
+    """A failed sample read ends the run as a dead reader process did:
+    ``sim.run`` raises the reader's ProcessError, caused by the read's
+    own error, at the time the read failed."""
+    sim, posix, split, _ = make_env(n_train=16)
+    bad = split.train.path(5)
+    posix.fs.fault_hook = lambda path, nbytes: (
+        ReadFault(error=TransientReadError(path)) if path == bad else None
+    )
+    failed_at = []
+    real_read = posix.fs.read
+
+    def read(path, *args):
+        event = real_read(path, *args)
+        if path == bad:
+            event.add_callback(lambda _ev: failed_at.append(sim.now))
+        return event
+
+    posix.fs.read = read
+    src = tf_baseline(sim, split.train, SequentialOrder(16), 4, posix, LENET)
+    trainer = Trainer(
+        sim, LENET, GpuEnsemble(sim), src,
+        TrainingConfig(epochs=1, global_batch=4, validate=False),
+    )
+    with pytest.raises(ProcessError) as info:
+        trainer.run_to_completion()
+    assert str(info.value).startswith("process 'tf-baseline.reader0' failed: ")
+    cause = info.value.__cause__
+    assert isinstance(cause, ProcessError) and str(cause).startswith("process 'fsread:")
+    assert isinstance(cause.__cause__, TransientReadError)
+    assert failed_at == [sim.now]
 
 
 # ---------------------------------------------------------------- PrefetchAutotuner

@@ -102,6 +102,18 @@ def test_store_peak_and_level_tracking():
     assert store.peak_items == 7
 
 
+def test_store_offer_admits_without_an_event_and_serves_getters():
+    sim = Simulator()
+    store = Store(sim, capacity=2)
+    waiting = store.get()
+    assert store.offer("a") and store.offer("b") and store.offer("c")
+    assert not store.offer("d")  # full: nothing admitted
+    assert list(store.items) == ["b", "c"] and store.peak_items == 2
+    sim.run()
+    assert waiting.value == "a"
+    assert sim.events_processed == 1  # the get; offers cost no event
+
+
 def test_store_mean_occupancy_time_weighted():
     sim = Simulator()
     store = Store(sim, capacity=10)

@@ -20,7 +20,7 @@ from repro.core import PrismaConfig, StaticPolicy, build_prisma
 from repro.experiments import ExperimentScale, run_tf_trial
 from repro.frameworks.models import LENET
 from repro.simcore import Simulator
-from repro.storage import BlockDevice, Filesystem, PosixLayer, ramdisk
+from repro.storage import BlockDevice, Filesystem, PosixLayer, intel_p4600, ramdisk
 from repro.telemetry import (
     MetricsRegistry,
     Telemetry,
@@ -116,6 +116,29 @@ def test_concurrent_spans_get_distinct_lanes():
     tel.end(a)
     c = tel.begin("r", "dev", "test", lane=True)  # freed lane is reused
     assert c.track == "dev/0"
+
+
+@pytest.mark.parametrize("through_fs", [False, True])
+def test_device_read_chained_from_a_completion_reuses_its_lane(through_fs):
+    """A device request's spans close before its caller's callbacks run,
+    so a reader that issues its next read from the completion callback
+    finds the lane free, as a reader resuming one event later did."""
+    sim = Simulator()
+    tel = Telemetry().attach(sim)
+    device = BlockDevice(sim, intel_p4600())
+    fs = Filesystem(sim, device)
+    fs.create("/f", 4096)
+
+    def issue(reads_left):
+        read = fs.read_whole("/f") if through_fs else device.read(4096)
+        if reads_left > 1:
+            read.add_callback(lambda _ev: issue(reads_left - 1))
+
+    issue(3)
+    sim.run()
+    tracks = [s.track for s in tel.events if s.name in ("dev.read", "dev.transfer")]
+    assert len(tracks) == 6
+    assert set(tracks) == {"storage.dev0/0"}
 
 
 def test_context_threads_trace_id_through_spans():
