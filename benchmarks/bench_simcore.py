@@ -22,6 +22,7 @@ Results land in ``BENCH_simcore.json`` at the repo root.
 
 Run directly:  PYTHONPATH=src python benchmarks/bench_simcore.py
 Or via pytest: pytest benchmarks/bench_simcore.py --benchmark-only
+(asserts the same acceptance but leaves the committed report alone)
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ def write_report(report: dict, path: Path = OUTPUT) -> None:
 # ---------------------------------------------------------------- pytest entry
 def test_slot_kernel_speedup(once):
     report = once(run_kernel_bench)
-    write_report(report)
     assert report["deterministic_across_runs"], "same kernel, two orders"
     assert report["order_matches_heap_kernel"], "slot kernel reordered events"
     assert report["speedup"] >= MIN_SPEEDUP

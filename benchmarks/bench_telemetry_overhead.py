@@ -19,6 +19,7 @@ Results land in ``BENCH_telemetry.json`` at the repo root.
 
 Run directly:  PYTHONPATH=src python benchmarks/bench_telemetry_overhead.py
 Or via pytest: pytest benchmarks/bench_telemetry_overhead.py --benchmark-only
+(asserts the same acceptance but leaves the committed report alone)
 """
 
 from __future__ import annotations
@@ -100,7 +101,6 @@ def write_report(report: dict, path: Path = OUTPUT) -> None:
 # ---------------------------------------------------------------- pytest entry
 def test_disabled_telemetry_overhead(once):
     report = once(run_overhead)
-    write_report(report)
     assert report["disabled_vs_pre_pr"] <= MAX_DISABLED_OVERHEAD
 
 

@@ -35,7 +35,7 @@ from .control import (
     RpcTransportError,
     StaticPolicy,
 )
-from .filename_queue import FilenameQueue
+from .filename_queue import FilenameQueue, _validate_lookahead
 from .optimization import MetricsSnapshot, OptimizationObject, TuningSettings
 from .prefetcher import ParallelPrefetcher
 from .schedule import NEVER, LookaheadSchedule
@@ -124,14 +124,7 @@ class PrismaConfig:
             raise ValueError("buffer_capacity must be >= 1")
         if self.max_producers < self.producers:
             raise ValueError("max_producers must be >= producers")
-        if isinstance(self.lookahead_epochs, bool) or not isinstance(
-            self.lookahead_epochs, int
-        ):
-            raise ValueError(
-                f"lookahead_epochs must be an int, got {self.lookahead_epochs!r}"
-            )
-        if self.lookahead_epochs < 0:
-            raise ValueError("lookahead_epochs must be >= 0")
+        _validate_lookahead(self.lookahead_epochs)
         if self.tiering is not None and not isinstance(self.tiering, TieringConfig):
             raise ValueError(
                 f"tiering must be a TieringConfig, got {type(self.tiering).__name__}"

@@ -17,22 +17,29 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from typing import Deque, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
+from ..filename_queue import PrefetchCore
 from ..optimization import MetricsSnapshot, TuningSettings
-from ..prefetcher import _validate_lookahead
-from ..schedule import LookaheadSchedule
 from .buffer import BufferClosed, LiveBuffer
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..schedule import LookaheadSchedule
 
-class LivePrefetcher:
+
+class LivePrefetcher(PrefetchCore):
     """Parallel file prefetcher over the local filesystem.
 
+    The live driver of :class:`~repro.core.filename_queue.PrefetchCore`.
     Thread model: a dynamic pool of daemon producer threads; each loops
-    {dequeue path, read file, insert into buffer}.  The control plane (or
+    {claim path, read file, insert into buffer}.  The control plane (or
     the user) retargets ``t`` via :meth:`set_producers` — surplus threads
     retire after their current file; deficit spawns fresh ones.
+
+    ``_lock`` is held around every core call that reads or changes more
+    than one field.  :meth:`set_producers` and :meth:`apply_settings`,
+    from the core, store one field at a time, each an atomic write, before
+    the spawn that takes the lock.
     """
 
     def __init__(
@@ -43,43 +50,21 @@ class LivePrefetcher:
         lookahead_epochs: int = 0,
         name: str = "live.prefetch",
     ) -> None:
-        if producers < 1:
-            raise ValueError("producers must be >= 1")
-        if max_producers < producers:
-            raise ValueError("max_producers must be >= producers")
-        self.name = name
+        super().__init__(producers, max_producers, lookahead_epochs, name)
         self.buffer = LiveBuffer(buffer_capacity)
-        self.max_producers = max_producers
         self._lock = threading.Lock()
-        self._queue: Deque[str] = deque()
-        self._covered: Set[str] = set()
-        #: paths a producer has claimed and not yet settled (under _lock);
-        #: a path leaves in the producer's next section, after its insert
-        self._in_flight: Set[str] = set()
-        self._target = producers
         self._threads: List[threading.Thread] = []
-        self._live = 0
-        self._next_id = 0
         self._closed = False
-        # metrics (under _lock)
-        self.bytes_fetched = 0
-        self.files_fetched = 0
-        self.read_errors = 0
-        # clairvoyant lookahead — same API as the simulated prefetcher
-        self.lookahead_epochs = _validate_lookahead(lookahead_epochs)
-        self._schedule: Optional[LookaheadSchedule] = None
-        self._staged_ahead: Set[str] = set()
-        self.lookahead_fetches = 0
         #: workload feature labels merged into control.decision telemetry
         #: (same contract as :attr:`~repro.core.stage.PrismaStage.
         #: feature_labels`); callers label backend kind / batch size so
         #: live telemetry harvests into the same training rows as sim
         self.feature_labels: dict = {"lookahead_epochs": self.lookahead_epochs}
 
-    def install_schedule(self, schedule: LookaheadSchedule) -> None:
-        """Install the clairvoyant oracle (shared with the simulated plane)."""
+    def install_schedule(self, schedule: "LookaheadSchedule") -> None:
+        # A producer's section reads the schedule more than once.
         with self._lock:
-            self._schedule = schedule
+            super().install_schedule(schedule)
 
     # -- epoch lifecycle ------------------------------------------------------------
     def load_epoch(self, paths: Iterable[str]) -> None:
@@ -88,149 +73,67 @@ class LivePrefetcher:
         with self._lock:
             if self._closed:
                 raise RuntimeError("prefetcher is closed")
-            if self._queue:
-                raise ValueError(
-                    f"{len(self._queue)} paths still pending from the previous epoch"
-                )
-            if self._schedule is not None:
-                if self._schedule.epochs_started >= self._schedule.n_epochs:
-                    self._schedule = None  # horizon exhausted: go reactive
-                else:
-                    self._schedule.start_epoch(paths)
-            # Paths fetched across the epoch boundary stay covered but are
-            # not re-enqueued (they are already staged in the buffer).
-            prestaged = self._staged_ahead.intersection(paths)
-            self._queue.extend(p for p in paths if p not in prestaged)
-            self._covered = set(paths)
-            self._staged_ahead.difference_update(prestaged)
+            self._load_epoch(paths)
         self._spawn_up_to_target()
 
     def covers(self, path: str) -> bool:
         with self._lock:
-            return path in self._covered
-
-    @property
-    def queue_remaining(self) -> int:
-        with self._lock:
-            return len(self._queue)
+            return self.queue.covers(path)
 
     # -- producer management -----------------------------------------------------
     @property
-    def target_producers(self) -> int:
-        with self._lock:
-            return self._target
-
-    @property
     def live_producers(self) -> int:
         with self._lock:
-            return self._live
-
-    def set_producers(self, t: int) -> None:
-        if not 1 <= t <= self.max_producers:
-            raise ValueError(f"producers must be in [1, {self.max_producers}]")
-        with self._lock:
-            self._target = t
-        self._spawn_up_to_target()
-
-    def _peek_lookahead_locked(self) -> Optional[str]:
-        """The claimable cross-epoch path, if any; caller holds ``_lock``.
-
-        Same protocol as the simulated plane: stop (rather than skip) when
-        the next scheduled path is still buffered or in flight for the live
-        epoch — a second copy would overwrite the first, and the next
-        epoch's read of it would wait forever — and respect buffer slack,
-        counting in-flight reads against it.
-        """
-        if self._schedule is None or self.lookahead_epochs < 1:
-            return None
-        if self.buffer.level + len(self._in_flight) >= self.buffer.capacity:
-            return None
-        path = self._schedule.peek_ahead(self.lookahead_epochs)
-        if path is None or path in self._in_flight or self.buffer.contains(path):
-            return None
-        return path
-
-    def _lookahead_ready_locked(self) -> bool:
-        return self._peek_lookahead_locked() is not None
-
-    def _claim_lookahead_locked(self) -> Optional[str]:
-        """Claim the next cross-epoch path (advances the fetch clock)."""
-        path = self._peek_lookahead_locked()
-        if path is None:
-            return None
-        assert self._schedule is not None
-        self._schedule.mark_fetched(path)
-        self._staged_ahead.add(path)
-        self.lookahead_fetches += 1
-        return path
+            return self._live_producers
 
     def _spawn_up_to_target(self) -> None:
-        to_start: List[threading.Thread] = []
+        threads: List[threading.Thread] = []
         with self._lock:
-            while (
-                self._live < self._target
-                and (self._queue or self._lookahead_ready_locked())
-                and not self._closed
-            ):
-                thread = threading.Thread(
-                    target=self._producer_loop,
-                    name=f"prisma-producer-{self._next_id}",
-                    daemon=True,
-                )
-                self._next_id += 1
-                self._live += 1
-                self.buffer.register_producer()
-                self._threads.append(thread)
-                to_start.append(thread)
-        for thread in to_start:
+            if not self._closed:
+                for worker_id in self._grow_producers():
+                    self.buffer.register_producer()
+                    threads.append(threading.Thread(
+                        target=self._producer_loop,
+                        args=(worker_id,),
+                        name=f"prisma-producer-{worker_id}",
+                        daemon=True,
+                    ))
+                self._threads.extend(threads)
+        for thread in threads:
             thread.start()
 
     def _retire(self) -> None:
-        self._live -= 1  # caller holds the lock
+        self._live_producers -= 1  # caller holds the lock
         self.buffer.deregister_producer()
 
-    def _claim_locked(self) -> Optional[str]:
-        """The next path for a producer, or ``None`` when it should retire."""
-        if self._closed or self._live > self._target:
-            return None
-        if self._queue:
-            path = self._queue.popleft()
-            if self._schedule is not None:
-                self._schedule.mark_fetched(path)
-            return path
-        return self._claim_lookahead_locked()
-
-    def _producer_loop(self) -> None:
+    def _producer_loop(self, worker_id: int) -> None:
         # The exit decision and the live-count decrement happen in ONE
         # critical section: were they separate, two threads could both see
         # "live > target" after a shrink and both retire, leaving zero
         # producers and a consumer blocked forever.  The same section
         # settles the previous file, so each file costs one section.
         path: Optional[str] = None
-        payload: object = None
+        nbytes: Optional[int] = None
         retired = False
         try:
             while True:
                 with self._lock:
                     if path is not None:
-                        self._in_flight.discard(path)
-                        if not isinstance(payload, Exception):
-                            self.bytes_fetched += len(payload)  # type: ignore[arg-type]
-                            self.files_fetched += 1
-                    path = self._claim_locked()
+                        self._settle(worker_id, nbytes)
+                    path = None if self._closed else self._claim(worker_id)
                     if path is None:
                         self._retire()
                         retired = True
                         return
-                    self._in_flight.add(path)
                 try:
                     payload = self._read_file(path)
+                    nbytes = len(payload)
                 except Exception as exc:  # noqa: BLE001 - re-raised by the reader
                     with self._lock:
                         self.read_errors += 1
                     # Deliver the failure to the waiting consumer instead of
                     # leaving it blocked on a sample that will never arrive.
-                    payload = exc
+                    payload, nbytes = exc, None
                 self.buffer.insert(path, payload)  # type: ignore[arg-type]
         except BufferClosed:
             pass
@@ -240,7 +143,7 @@ class LivePrefetcher:
             # thread short and staged consumers waiting on a batch.
             if not retired:
                 with self._lock:
-                    self._in_flight.discard(path)  # type: ignore[arg-type]
+                    self._in_flight.pop(worker_id, None)
                     self._retire()
 
     @staticmethod
@@ -270,39 +173,16 @@ class LivePrefetcher:
     # -- control interface ----------------------------------------------------------
     def snapshot(self) -> MetricsSnapshot:
         with self._lock:
-            bytes_fetched = self.bytes_fetched
-            files_fetched = self.files_fetched
-            read_errors = self.read_errors
-            live = self._live
-            remaining = len(self._queue)
-            lookahead = self.lookahead_fetches
+            fields = self._snapshot_fields()
         requests, starved = self.buffer.demand()
         return MetricsSnapshot(
             time=time.monotonic(),
             requests=requests,
             hits=requests - starved,
             waits=starved,
-            buffer_level=self.buffer.level,
-            buffer_capacity=self.buffer.capacity,
-            producers_allocated=live,
-            producers_active=live,
-            bytes_fetched=bytes_fetched,
-            queue_remaining=remaining,
-            files_fetched=files_fetched,
-            read_errors=read_errors,
-            lookahead_fetches=lookahead,
+            producers_active=fields["producers_allocated"],
+            **fields,
         )
-
-    def apply_settings(self, settings: TuningSettings) -> None:
-        if settings.producers is not None:
-            self.set_producers(settings.producers)
-        if settings.buffer_capacity is not None:
-            self.buffer.set_capacity(settings.buffer_capacity)
-        lookahead = settings.extra.get("lookahead_epochs")
-        if lookahead is not None:
-            with self._lock:
-                self.lookahead_epochs = _validate_lookahead(lookahead)
-            self._spawn_up_to_target()
 
     # The kernel's StagePort surface: same shape as the simulated
     # PrismaStage, so one ControlCycle drives either data plane.
@@ -321,7 +201,6 @@ class LivePrefetcher:
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            self._queue.clear()
         self.buffer.close()
         for thread in list(self._threads):
             if thread.is_alive():

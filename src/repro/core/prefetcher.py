@@ -11,15 +11,9 @@ or spawn between files) and ``N`` (buffer capacity retargets without
 eviction).  The number of *consumers* is deliberately unknown to the
 prefetcher ("its number is oblivious to PRISMA").
 
-Clairvoyant lookahead (ROADMAP item 1): when a
-:class:`~repro.core.schedule.LookaheadSchedule` is installed, producers keep
-fetching **across the epoch boundary** once the current epoch's FIFO drains
-— while the buffer has slack, they claim the next epoch's prefix from the
-schedule and stage it early.  ``on_epoch`` then loads the filenames list
-with those paths marked *prestaged*, so the new epoch starts with warm
-buffer hits instead of a cold ramp.  The ``lookahead_epochs`` knob (also a
-``TuningSettings.extra`` key) bounds how far ahead producers may run;
-0 disables lookahead entirely.
+The queue, the producer counts and the clairvoyant cross-epoch lookahead
+are :class:`~repro.core.filename_queue.PrefetchCore`'s, shared with the
+live plane; this module drives them with simulation processes.
 
 Fault tolerance (the graceful-degradation half of the data plane):
 
@@ -39,25 +33,16 @@ Fault tolerance (the graceful-degradation half of the data plane):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from ..simcore.errors import Interrupt, ProcessError
 from ..simcore.event import Event
 from ..telemetry import TimeWeightedGauge
 from ..storage.filesystem import TransientReadError
 from .buffer import HIT_OVERHEAD, MEMORY_BANDWIDTH, PrefetchBuffer
-from .filename_queue import FilenameQueue
-from .optimization import MetricsSnapshot, OptimizationObject, TuningSettings
+from .filename_queue import PrefetchCore
+from .optimization import MetricsSnapshot, OptimizationObject
 from .schedule import LookaheadSchedule
-
-
-def _validate_lookahead(value: object) -> int:
-    """Normalize the ``lookahead_epochs`` knob (int >= 0, bool rejected)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"lookahead_epochs must be an int, got {value!r}")
-    if value < 0:
-        raise ValueError("lookahead_epochs must be >= 0")
-    return value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.kernel import Process, Simulator
@@ -75,8 +60,12 @@ def _storage_error(exc: BaseException) -> Exception:
     return cause if isinstance(cause, Exception) else ProcessError(repr(exc))
 
 
-class ParallelPrefetcher(OptimizationObject):
+class ParallelPrefetcher(PrefetchCore, OptimizationObject):
     """Parallel read-ahead into a bounded in-memory buffer.
+
+    The simulated driver of :class:`~repro.core.filename_queue.PrefetchCore`:
+    producers are kernel processes, supervised for crashes, and the serve
+    path retries staged transient errors.
 
     Parameters
     ----------
@@ -109,44 +98,28 @@ class ParallelPrefetcher(OptimizationObject):
         lookahead_epochs: int = 0,
         name: str = "prisma.prefetch",
     ) -> None:
-        super().__init__(sim, backend, name)
-        if producers < 1:
-            raise ValueError("producers must be >= 1")
-        if max_producers < producers:
-            raise ValueError("max_producers must be >= producers")
+        OptimizationObject.__init__(self, sim, backend, name)
+        PrefetchCore.__init__(self, producers, max_producers, lookahead_epochs, name)
         if max_read_retries < 0:
             raise ValueError("max_read_retries must be >= 0")
         if retry_backoff < 0:
             raise ValueError("retry_backoff must be >= 0")
-        self.buffer = PrefetchBuffer(sim, buffer_capacity, name=f"{name}.buffer")
-        self.queue = FilenameQueue(name=f"{name}.queue")
+        self.buffer = self._new_buffer(buffer_capacity)
         self._serve_name = f"{name}.serve"
-        self.max_producers = max_producers
         self.max_read_retries = max_read_retries
         self.retry_backoff = retry_backoff
-        self._target_producers = producers
-        self._live_producers = 0
-        self._next_worker_id = 0
         #: live producer processes, for supervision and crash injection
         self._procs: Dict[int, "Process"] = {}
-        #: path each producer has dequeued but not yet staged
-        self._in_flight: Dict[int, str] = {}
         #: producers currently blocked in a backend read (paper Fig. 3 input)
         self.active_producers = TimeWeightedGauge(sim, 0, name=f"{name}.active")
         #: producers alive (reading, inserting, or between files)
         self.allocated_producers = TimeWeightedGauge(sim, 0, name=f"{name}.allocated")
-        self.bytes_fetched = 0.0
-        self.files_fetched = 0
-        self.read_errors = 0
         self.producer_crashes = 0
         self.producer_respawns = 0
         self.serve_retries = 0
-        self.lookahead_epochs = _validate_lookahead(lookahead_epochs)
-        #: the clairvoyant oracle (None = reactive per-epoch FIFO only)
-        self.schedule: Optional[LookaheadSchedule] = None
-        #: next-epoch paths fetched early, pending their epoch's load()
-        self._staged_ahead: Set[str] = set()
-        self.lookahead_fetches = 0
+
+    def _new_buffer(self, capacity: int) -> PrefetchBuffer:
+        return PrefetchBuffer(self.sim, capacity, name=f"{self.name}.buffer")
 
     def install_schedule(self, schedule: LookaheadSchedule) -> None:
         """Install the clairvoyant oracle, propagating it down the stack.
@@ -161,98 +134,22 @@ class ParallelPrefetcher(OptimizationObject):
         if propagate is not None:
             propagate(schedule)
 
-    # -- knobs -----------------------------------------------------------------
-    @property
-    def target_producers(self) -> int:
-        return self._target_producers
-
-    def set_producers(self, t: int) -> None:
-        """Retarget *t*; excess producers park after their current file."""
-        if not 1 <= t <= self.max_producers:
-            raise ValueError(f"producers must be in [1, {self.max_producers}]")
-        self._target_producers = t
-        self._spawn_up_to_target()
-
-    def apply_settings(self, settings: TuningSettings) -> None:
-        if settings.producers is not None:
-            self.set_producers(settings.producers)
-        if settings.buffer_capacity is not None:
-            self.buffer.set_capacity(settings.buffer_capacity)
-        lookahead = settings.extra.get("lookahead_epochs")
-        if lookahead is not None:
-            self.lookahead_epochs = _validate_lookahead(lookahead)
-            self._spawn_up_to_target()
-
-    # -- epoch lifecycle ------------------------------------------------------------
     def on_epoch(self, paths: Iterable[str]) -> None:
         """Install the shared shuffled filenames list and start prefetching."""
-        paths = list(paths)
-        if self.schedule is not None:
-            if self.schedule.epochs_started >= self.schedule.n_epochs:
-                # Horizon exhausted: degrade gracefully to reactive mode
-                # rather than failing the run.
-                self.schedule = None
-            else:
-                self.schedule.start_epoch(paths)
-        # Paths fetched across the epoch boundary are already staged: keep
-        # them covered but out of the FIFO, or they would be fetched twice.
-        prestaged = [p for p in paths if p in self._staged_ahead]
-        self.queue.load(paths, prestaged=prestaged)
-        self._staged_ahead.difference_update(prestaged)
+        self._load_epoch(paths)
         # New epoch: every path becomes requestable again (the buffer's
         # duplicate-request detection tracks consumption per epoch).
         self.buffer.begin_epoch()
         self._spawn_up_to_target()
 
-    # -- clairvoyant lookahead ---------------------------------------------------
-    def _lookahead_ready(self) -> bool:
-        """Whether a producer could claim a cross-epoch fetch right now."""
-        return self._peek_lookahead() is not None
-
-    def _peek_lookahead(self) -> Optional[str]:
-        if self.schedule is None or self.lookahead_epochs < 1:
-            return None
-        # Slack rule: never let lookahead compete with the live epoch for
-        # buffer space — count staged samples *and* in-flight fetches.
-        if self.buffer.level + len(self._in_flight) >= self.buffer.capacity:
-            return None
-        path = self.schedule.peek_ahead(self.lookahead_epochs)
-        if path is None:
-            return None
-        # Stop (don't skip) on conflict: the path is still buffered or in
-        # flight for the *current* epoch.  Skipping would desync the fetch
-        # clock; stopping keeps the claimed prefix contiguous, and the
-        # serve-path respawn hook retries once the conflict clears.
-        if self.buffer.contains(path) or path in self._in_flight.values():
-            return None
-        return path
-
-    def _claim_lookahead(self) -> Optional[str]:
-        """Atomically claim the next cross-epoch path for one producer."""
-        path = self._peek_lookahead()
-        if path is None:
-            return None
-        assert self.schedule is not None
-        self.schedule.mark_fetched(path)  # claim = advance the fetch clock
-        self._staged_ahead.add(path)
-        self.lookahead_fetches += 1
-        return path
-
     def _spawn_up_to_target(self) -> None:
-        while self._live_producers < self._target_producers and (
-            self.queue.remaining > 0 or self._lookahead_ready()
-        ):
-            worker_id = self._next_worker_id
-            self._next_worker_id += 1
-            self._live_producers += 1
-            self.allocated_producers.set(self._live_producers)
+        for worker_id in self._grow_producers():
             proc = self.sim.process(
                 self._producer(worker_id), name=f"{self.name}.p{worker_id}"
             )
             self._procs[worker_id] = proc
-            proc.add_callback(
-                lambda p, wid=worker_id: self._on_producer_exit(wid, p)
-            )
+            proc.add_callback(lambda p, wid=worker_id: self._on_producer_exit(wid, p))
+        self.allocated_producers.set(self._live_producers)
 
     # -- fault injection / supervision ------------------------------------------------
     def crash_producer(self, cause: object = "fault-injection") -> bool:
@@ -274,43 +171,18 @@ class ParallelPrefetcher(OptimizationObject):
         if proc.ok:
             return  # normal exit: parked or epoch drained
         self.producer_crashes += 1
-        path = self._in_flight.pop(worker_id, None)
-        if path is not None:
-            if path in self._staged_ahead:
-                # A crashed *lookahead* fetch is not requeued into the live
-                # epoch (the next load() may arrive while it would still be
-                # pending); releasing the claim re-enqueues it normally in
-                # its own epoch — its clock position stays claimed, and the
-                # late refetch's mark is a no-op by design.
-                self._staged_ahead.discard(path)
-            else:
-                # Dequeued but never staged: put it back or its consumer hangs.
-                self.queue.requeue(path)
-        if self._live_producers < self._target_producers and (
-            self.queue.remaining > 0 or self._lookahead_ready()
-        ):
+        self._release(worker_id)
+        if self._wants_producer():
             self.producer_respawns += 1
             self._spawn_up_to_target()
 
     def _producer(self, worker_id: int):
-        """One producer thread: dequeue, read, stage, repeat."""
+        """One producer thread: claim, read, stage, settle, repeat."""
         try:
             while True:
-                # Park when the control plane shrank t below our rank.
-                if self._live_producers > self._target_producers:
-                    return
-                path = self.queue.next()
-                if path is not None:
-                    if self.schedule is not None:
-                        # Dequeues happen in schedule order, so this is the
-                        # normal clock advance; crash-requeued refetches
-                        # match nothing and leave the clock alone.
-                        self.schedule.mark_fetched(path)
-                else:
-                    path = self._claim_lookahead()
-                    if path is None:
-                        return  # epoch drained; respawned on next on_epoch()
-                self._in_flight[worker_id] = path
+                path = self._claim(worker_id)
+                if path is None:
+                    return  # parked, or drained; respawned on next on_epoch()
                 self.active_producers.increment()
                 tel = self.sim.telemetry
                 fetch = None
@@ -319,7 +191,7 @@ class ParallelPrefetcher(OptimizationObject):
                         "prefetch.fetch", f"{self.name}.p{worker_id}", "prefetcher", path=path
                     )
                 try:
-                    payload = yield self.backend.read_whole(path)
+                    payload = nbytes = yield self.backend.read_whole(path)
                 except Interrupt:
                     # Crash injection: die without staging; the supervisor
                     # requeues the in-flight path and respawns.
@@ -331,7 +203,7 @@ class ParallelPrefetcher(OptimizationObject):
                     # path (or it would block forever); stage the exception —
                     # the buffer's documented staged-error contract.
                     self.read_errors += 1
-                    payload = _storage_error(exc)
+                    payload, nbytes = _storage_error(exc), None
                     if fetch is not None:
                         tel.end(fetch, outcome="error", error=type(payload).__name__)
                         tel.registry.counter(
@@ -339,15 +211,12 @@ class ParallelPrefetcher(OptimizationObject):
                         ).inc()
                 finally:
                     self.active_producers.decrement()
-                if not isinstance(payload, Exception):
-                    self.bytes_fetched += payload
-                    self.files_fetched += 1
-                    if fetch is not None:
-                        tel.end(fetch, outcome="ok", bytes=payload)
+                if fetch is not None and nbytes is not None:
+                    tel.end(fetch, outcome="ok", bytes=nbytes)
                 insert = self.buffer.insert(path, payload)
                 # Commit point: the buffer owns the (queued) insert from
                 # here, so a crash past this line loses nothing.
-                self._in_flight.pop(worker_id, None)
+                self._settle(worker_id, nbytes)
                 yield insert
         finally:
             self._live_producers -= 1
@@ -446,15 +315,8 @@ class ParallelPrefetcher(OptimizationObject):
             requests=hits + waits,
             hits=hits,
             waits=waits,
-            buffer_level=self.buffer.level,
-            buffer_capacity=self.buffer.capacity,
-            producers_allocated=self._live_producers,
             producers_active=self.active_producers.value,
-            bytes_fetched=self.bytes_fetched,
-            queue_remaining=self.queue.remaining,
-            files_fetched=self.files_fetched,
-            read_errors=self.read_errors,
             producer_respawns=self.producer_respawns,
             serve_retries=self.serve_retries,
-            lookahead_fetches=self.lookahead_fetches,
+            **self._snapshot_fields(),
         )

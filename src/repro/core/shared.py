@@ -20,14 +20,12 @@ the documented CoorDL trade-off.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..simcore.event import Event
 from ..simcore.resources import FilterStore
 from ..telemetry import CounterSet, TimeWeightedGauge
-from .buffer import HIT_OVERHEAD, MEMORY_BANDWIDTH
-from .filename_queue import FilenameQueue
-from .optimization import MetricsSnapshot, OptimizationObject, TuningSettings
+from .prefetcher import ParallelPrefetcher
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.kernel import Simulator
@@ -114,8 +112,15 @@ class _SharedBuffer:
         if entry[2] <= 0:
             self._release_slot(entry)
 
-    def take(self, path: str) -> Event:
-        """One consumer's copy of ``path``; value is the payload."""
+    def contains(self, path: str) -> bool:
+        return self._find(path) is not None
+
+    def begin_epoch(self) -> None:
+        """Nothing to reset: an entry lives until its last copy is taken."""
+
+    def request(self, path: str) -> Tuple[bool, Event]:
+        """One consumer's copy of ``path``: ``(hit, event)``, the event
+        valued with the payload (as :meth:`PrefetchBuffer.request`)."""
         done = Event(self.sim, name="shared.take")
         entry = self._find(path)
         if entry is not None:
@@ -125,10 +130,14 @@ class _SharedBuffer:
             if entry[2] <= 0:
                 self._release_slot(entry)
             done.succeed(payload)
-            return done
+            return True, done
         self.counters.add("waits")
         self._waiters.setdefault(path, []).append(done)
-        return done
+        return False, done
+
+    def take(self, path: str) -> Event:
+        """One consumer's copy of ``path``; value is the payload."""
+        return self.request(path)[1]
 
     def hit_rate(self) -> float:
         hits = self.counters.get("hits")
@@ -136,13 +145,16 @@ class _SharedBuffer:
         return hits / total if total > 0 else 0.0
 
 
-class SharedDatasetPrefetcher(OptimizationObject):
+class SharedDatasetPrefetcher(ParallelPrefetcher):
     """Read-once, serve-K prefetching for jobs sharing one dataset.
 
     Jobs register up front (``consumers``); every covered file is fetched
-    once per epoch and each consumer receives a memory-served copy.  Knobs
-    and metrics match :class:`~repro.core.prefetcher.ParallelPrefetcher`,
-    so the same control-plane policies apply unchanged.
+    once per epoch and each consumer receives a memory-served copy.  It is
+    a :class:`~repro.core.prefetcher.ParallelPrefetcher` over a fan-out
+    buffer, so knobs, metrics and producer supervision are the same, and
+    the same control-plane policies apply unchanged.  Serve-side retry is
+    off: a staged read error fails every consumer at once, since a retry
+    per consumer would read the file K times.
     """
 
     def __init__(
@@ -155,118 +167,15 @@ class SharedDatasetPrefetcher(OptimizationObject):
         max_producers: int = 8,
         name: str = "prisma.shared",
     ) -> None:
-        super().__init__(sim, backend, name)
         if consumers < 1:
             raise ValueError("consumers must be >= 1")
-        if producers < 1:
-            raise ValueError("producers must be >= 1")
-        if max_producers < producers:
-            raise ValueError("max_producers must be >= producers")
-        self.consumers = consumers
-        self.buffer = _SharedBuffer(
-            sim, buffer_capacity, fanout=consumers, name=f"{name}.buffer"
+        self.consumers = consumers  # the fan-out _new_buffer builds with
+        super().__init__(
+            sim, backend, producers=producers, buffer_capacity=buffer_capacity,
+            max_producers=max_producers, max_read_retries=0, name=name,
         )
-        self.queue = FilenameQueue(name=f"{name}.queue")
-        self._serve_name = f"{name}.serve"
-        self.max_producers = max_producers
-        self._target_producers = producers
-        self._live_producers = 0
-        self._next_worker_id = 0
-        self.active_producers = TimeWeightedGauge(sim, 0, name=f"{name}.active")
-        self.allocated_producers = TimeWeightedGauge(sim, 0, name=f"{name}.allocated")
-        self.bytes_fetched = 0.0
-        self.files_fetched = 0
-        self.read_errors = 0
 
-    # -- knobs -----------------------------------------------------------------
-    @property
-    def target_producers(self) -> int:
-        return self._target_producers
-
-    def set_producers(self, t: int) -> None:
-        if not 1 <= t <= self.max_producers:
-            raise ValueError(f"producers must be in [1, {self.max_producers}]")
-        self._target_producers = t
-        self._spawn_up_to_target()
-
-    def apply_settings(self, settings: TuningSettings) -> None:
-        if settings.producers is not None:
-            self.set_producers(settings.producers)
-        if settings.buffer_capacity is not None:
-            self.buffer.set_capacity(settings.buffer_capacity)
-
-    # -- epoch lifecycle ------------------------------------------------------------
-    def on_epoch(self, paths: Iterable[str]) -> None:
-        self.queue.load(paths)
-        self._spawn_up_to_target()
-
-    def _spawn_up_to_target(self) -> None:
-        while self._live_producers < self._target_producers and self.queue.remaining > 0:
-            worker_id = self._next_worker_id
-            self._next_worker_id += 1
-            self._live_producers += 1
-            self.allocated_producers.set(self._live_producers)
-            self.sim.process(self._producer(worker_id), name=f"{self.name}.p{worker_id}")
-
-    def _producer(self, worker_id: int):
-        try:
-            while True:
-                if self._live_producers > self._target_producers:
-                    return
-                path = self.queue.next()
-                if path is None:
-                    return
-                self.active_producers.increment()
-                try:
-                    payload = yield self.backend.read_whole(path)
-                except Exception as exc:  # noqa: BLE001 - deliver to consumers
-                    self.read_errors += 1
-                    payload = exc
-                finally:
-                    self.active_producers.decrement()
-                if not isinstance(payload, Exception):
-                    self.bytes_fetched += payload
-                    self.files_fetched += 1
-                yield self.buffer.insert(path, payload)
-        finally:
-            self._live_producers -= 1
-            self.allocated_producers.set(self._live_producers)
-
-    # -- data path --------------------------------------------------------------
-    def serve(self, path: str) -> Optional[Event]:
-        if not self.queue.covers(path):
-            return None
-        fetched = self.buffer.take(path)
-        done = Event(self.sim, name=self._serve_name)
-
-        def after_fetch(ev: Event) -> None:
-            if not ev.ok:
-                done.fail(ev.exception)
-                return
-            payload = ev.value
-            if isinstance(payload, Exception):
-                done.fail(payload)
-                return
-
-            copy_out = self.sim.timeout(HIT_OVERHEAD + payload / MEMORY_BANDWIDTH)
-            copy_out.add_callback(lambda _ev: done.succeed(payload))
-
-        fetched.add_callback(after_fetch)
-        return done
-
-    # -- control-plane reporting ------------------------------------------------------
-    def snapshot(self) -> MetricsSnapshot:
-        hits = self.buffer.counters.get("hits")
-        waits = self.buffer.counters.get("waits")
-        return MetricsSnapshot(
-            time=self.sim.now,
-            requests=hits + waits,
-            hits=hits,
-            waits=waits,
-            buffer_level=self.buffer.level,
-            buffer_capacity=self.buffer.capacity,
-            producers_allocated=self._live_producers,
-            producers_active=self.active_producers.value,
-            bytes_fetched=self.bytes_fetched,
-            queue_remaining=self.queue.remaining,
+    def _new_buffer(self, capacity: int) -> _SharedBuffer:
+        return _SharedBuffer(
+            self.sim, capacity, fanout=self.consumers, name=f"{self.name}.buffer"
         )

@@ -480,6 +480,19 @@ def test_live_prefetcher_epoch_overlap_rejected(dataset):
             pf.load_epoch(dataset)
 
 
+def test_live_prefetcher_rejects_duplicate_paths(dataset):
+    """A path named twice in one epoch would be fetched twice, the second
+    copy overwriting the first, and its second read would wait forever."""
+    a, b = dataset[:2]
+    with LivePrefetcher(producers=1, buffer_capacity=4) as pf:
+        with pytest.raises(ValueError):
+            pf.load_epoch([a, b, a])
+        assert pf.queue_remaining == 0
+        pf.load_epoch([a, b])
+        assert pf.read(a, timeout=1.0)[:1] == bytes([0])
+        assert pf.read(b, timeout=1.0)[:1] == bytes([1])
+
+
 def test_live_prefetcher_multiple_epochs(dataset):
     with LivePrefetcher(producers=2, buffer_capacity=16) as pf:
         for epoch in range(3):

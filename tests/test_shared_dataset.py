@@ -5,7 +5,9 @@ import pytest
 from repro.core import PrismaStage, SharedDatasetPrefetcher, TuningSettings
 from repro.dataset import tiny_dataset
 from repro.simcore import RandomStreams, Simulator
-from repro.storage import BlockDevice, Filesystem, PosixLayer, intel_p4600, ramdisk
+from repro.storage import (
+    BlockDevice, FileNotFound, Filesystem, PosixLayer, intel_p4600, ramdisk,
+)
 
 
 def make_env(n_train=32, profile=None):
@@ -174,3 +176,49 @@ def test_shared_multi_epoch():
     p = sim.process(epochs())
     sim.run(until=p)
     assert pf.files_fetched == 16  # 8 files x 2 epochs, once each
+
+
+def test_shared_snapshot_reports_fetches_and_errors():
+    """The control plane sees the shared plane's fetches and failures, so
+    the degraded-mode policy can engage on it."""
+    sim, dev, posix, split = make_env(n_train=4)
+    pf = SharedDatasetPrefetcher(sim, posix, consumers=2, buffer_capacity=8)
+    paths = split.train.filenames()[:3] + ["/data/tiny/train/999"]
+    pf.on_epoch(paths)
+
+    def consumer():
+        for path in paths:
+            try:
+                yield pf.serve(path)
+            except FileNotFound:  # the ghost path's staged error
+                pass
+
+    sim.run(until=sim.all_of([sim.process(consumer()) for _ in range(2)]))
+    snap = pf.snapshot()
+    assert (snap.files_fetched, snap.read_errors) == (3, 1)
+    assert snap.error_rate() == 0.25
+
+
+def test_shared_recovers_from_a_producer_crash():
+    """A fault plan's producer crash requeues the victim's path, so every
+    consumer is still served every sample."""
+    from repro.faults import PRODUCER_CRASH, FaultEvent, FaultInjector, FaultPlan
+
+    sim, dev, posix, split = make_env(n_train=16, profile=intel_p4600())
+    pf = SharedDatasetPrefetcher(sim, posix, consumers=2, buffer_capacity=8)
+    injector = FaultInjector(sim)
+    injector.attach_prefetcher(pf)
+    injector.install(FaultPlan([FaultEvent(PRODUCER_CRASH, time=1e-4)]))
+    paths = split.train.filenames()
+    pf.on_epoch(paths)
+    served = {0: 0, 1: 0}
+
+    def consumer(cid):
+        for path in paths:
+            yield pf.serve(path)
+            served[cid] += 1
+
+    sim.run(until=sim.all_of([sim.process(consumer(c)) for c in served]))
+    assert served == {0: 16, 1: 16}
+    assert pf.producer_crashes == 1
+    assert pf.files_fetched == 16
