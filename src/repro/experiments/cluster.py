@@ -11,7 +11,7 @@ per epoch — the cooperative-cache invariant
 (:meth:`~repro.cluster.ClusterStore.max_epoch_reads_per_path` == 1).
 
 Reports are deterministic: same seed → byte-identical ``metrics_dict()``;
-``benchmarks/bench_cluster_serving.py`` gates CI on exactly that plus the
+the ``cluster`` row of ``benchmarks/gates.py`` gates CI on exactly that plus the
 invariant itself (backing reads ≤ 1.05× unique samples per epoch at
 N=128).  An optional :class:`~repro.faults.FaultPlan` drives RPC drops and
 delays into the peer channels, degrading the invariant gracefully

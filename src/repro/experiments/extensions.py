@@ -92,6 +92,10 @@ class MultitenantRow:
     makespan: float
     mean_job_time: float
     fairness: float
+    #: each job's training time, in job order
+    job_times: List[float]
+    #: the most producers any one job's prefetcher held at once (0: no PRISMA)
+    peak_producers: int
 
 
 def run_multitenant_comparison(
@@ -132,6 +136,15 @@ def run_multitenant_comparison(
                 makespan=result.makespan,
                 mean_job_time=result.mean_job_time(),
                 fairness=jain_fairness([1.0 / t for t in times]),
+                job_times=times,
+                peak_producers=max(
+                    (
+                        int(job.prefetcher.allocated_producers.max_seen())
+                        for job in result.jobs
+                        if job.prefetcher is not None
+                    ),
+                    default=0,
+                ),
             )
         )
     return rows

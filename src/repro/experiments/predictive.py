@@ -23,7 +23,7 @@ ROADMAP item 1's deliverable.  For each backend kind the harness
    applied-settings sequences (one kernel, two drivers).
 
 Everything is seeded and simulation-timed, so the full report is
-byte-deterministic — ``benchmarks/bench_predictive_control.py`` gates the
+byte-deterministic — the ``predict`` row of ``benchmarks/gates.py`` gates the
 convergence ratio and the determinism of a double run.
 """
 

@@ -19,7 +19,7 @@ Every trial measures read throughput *inside* checkpoint-burst windows
 (from :attr:`~repro.frameworks.checkpoint.CheckpointWriter.write_windows`)
 separately from steady-state throughput, which is how the interference —
 and asynchronous checkpointing's recovery of it — becomes a number a CI
-gate can hold (``benchmarks/bench_write_workloads.py``).
+gate can hold (the ``writes`` row of ``benchmarks/gates.py``).
 
 Backends are constructed purely from :class:`~repro.storage.backend.
 BackendConfig`, so the object-store rows exercise the config-selected

@@ -10,7 +10,7 @@ names — exactly as it shipped before the slot scheduler landed in
   runs randomized scenarios against both kernels and asserts identical
   event-firing order (the ``(time, slot-FIFO)`` contract equals the old
   ``(time, sequence)`` contract).
-* ``benchmarks/bench_simcore.py`` — the BENCH_simcore events/sec gate
+* the ``simcore`` row of ``benchmarks/gates.py`` — the events/sec gate
   measures the production kernel against this one on the same machine,
   so the ≥1.5× speedup floor is independent of runner hardware.
 

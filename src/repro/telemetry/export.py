@@ -246,8 +246,9 @@ def validate_chrome_trace(doc: Dict[str, object]) -> Optional[str]:
     """Structurally validate a Chrome-trace document; None if OK.
 
     Checks the fields viewers actually require (ph/pid/tid, ts on
-    non-metadata rows) and that every ``B`` has a matching ``E`` per
-    (pid, tid) lane.  Returns a description of the first problem found.
+    non-metadata rows) and that the ``B``/``E`` pairs of each (pid, tid)
+    lane nest: an ``E`` closes the ``B`` on top of its lane's stack, with
+    the same name.  Returns a description of the first problem found.
     """
     events = doc.get("traceEvents")
     if not isinstance(events, list):
@@ -271,6 +272,8 @@ def validate_chrome_trace(doc: Dict[str, object]) -> Optional[str]:
             stack = open_stacks.get(lane)
             if not stack:
                 return f"event {i}: E with no open B on lane {lane}"
+            if stack[-1] != ev["name"]:
+                return f"event {i}: E {ev['name']!r} closes open B {stack[-1]!r} on lane {lane}"
             stack.pop()
     for lane, stack in open_stacks.items():
         if stack:

@@ -30,7 +30,7 @@ Design points:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from .metrics import MetricsRegistry
 from .spans import PHASE_DURATION, PHASE_INSTANT, CounterSample, Span, TraceContext
@@ -57,8 +57,10 @@ class Telemetry:
         self._next_trace_id = 0
         self._next_seq = 0
         self._ctx_stack: List[TraceContext] = []
-        #: per-track busy lane indices (for nested-safe B/E export)
-        self._lanes: Dict[str, Set[int]] = {}
+        #: busy lane track ("storage.dev0/1") -> the span that allocated it.
+        #: A span nested on its parent's lane track does not own the lane,
+        #: so ending it leaves the lane held (nested-safe B/E export).
+        self._lane_owners: Dict[str, Span] = {}
 
     # -- lifecycle ----------------------------------------------------------------
     def attach(self, sim: "Simulator", process: Optional[str] = None) -> "Telemetry":
@@ -127,12 +129,10 @@ class Telemetry:
         self.events.append(span)
         return True
 
-    def _alloc_lane(self, track: str) -> str:
-        busy = self._lanes.setdefault(track, set())
+    def _free_lane(self, track: str) -> str:
         lane = 0
-        while lane in busy:
+        while f"{track}/{lane}" in self._lane_owners:
             lane += 1
-        busy.add(lane)
         return f"{track}/{lane}"
 
     def begin(
@@ -154,13 +154,15 @@ class Telemetry:
             ctx = self.current_context
         span = Span(
             name=name,
-            track=self._alloc_lane(track) if lane else track,
+            track=self._free_lane(track) if lane else track,
             category=cat,
             process=self._process,
             start=self.now,
             trace_id=None if ctx is None else ctx.trace_id,
             args=dict(args),
         )
+        if lane:
+            self._lane_owners[span.track] = span
         self._record(span)
         return span
 
@@ -170,11 +172,8 @@ class Telemetry:
         span.end_seq = self._seq()
         if args:
             span.args.update(args)
-        base, sep, lane = span.track.rpartition("/")
-        if sep and lane.isdigit():
-            busy = self._lanes.get(base)
-            if busy is not None:
-                busy.discard(int(lane))
+        if self._lane_owners.get(span.track) is span:
+            del self._lane_owners[span.track]
         return span
 
     def end_on(self, span: Span, event: "Event", **args: object) -> "Event":
@@ -276,4 +275,4 @@ class Telemetry:
         self.events.clear()
         self.counter_samples.clear()
         self.dropped = 0
-        self._lanes.clear()
+        self._lane_owners.clear()

@@ -20,7 +20,7 @@ from repro.core import PrismaConfig, StaticPolicy, build_prisma
 from repro.experiments import ExperimentScale, run_tf_trial
 from repro.frameworks.models import LENET
 from repro.simcore import Simulator
-from repro.storage import BlockDevice, Filesystem, PosixLayer, intel_p4600, ramdisk
+from repro.storage import BlockDevice, Filesystem, PosixLayer, intel_p4600, ramdisk, sata_hdd
 from repro.telemetry import (
     MetricsRegistry,
     Telemetry,
@@ -116,6 +116,30 @@ def test_concurrent_spans_get_distinct_lanes():
     tel.end(a)
     c = tel.begin("r", "dev", "test", lane=True)  # freed lane is reused
     assert c.track == "dev/0"
+
+
+def test_nested_span_leaves_its_parents_lane_held():
+    """``dev.seek_wait`` and ``dev.transfer`` open on their read's lane
+    without owning it, so ending them must not free that lane for the next
+    read while the read itself is still in flight."""
+    sim = Simulator()
+    tel = Telemetry().attach(sim)
+    device = BlockDevice(sim, sata_hdd())
+
+    def read_at(start):
+        yield sim.timeout(start)
+        yield device.read(4 * 1024 * 1024)
+
+    for start in (0.0, 0.0, 1e-3):
+        sim.process(read_at(start))
+    sim.run()
+    reads = [s for s in tel.spans("storage") if s.name == "dev.seqread"]
+    assert len(reads) == 3
+    for i, a in enumerate(reads):
+        for b in reads[i + 1:]:
+            if a.start < b.end and b.start < a.end:
+                assert a.track != b.track, (a, b)
+    assert validate_chrome_trace({"traceEvents": chrome_trace_events(tel)}) is None
 
 
 @pytest.mark.parametrize("through_fs", [False, True])
@@ -281,6 +305,15 @@ def test_validate_chrome_trace_flags_problems():
         ]
     }
     assert validate_chrome_trace(unbalanced) is not None
+    crossed = {
+        "traceEvents": [
+            {"ph": "B", "pid": "p", "tid": "t", "name": "outer", "ts": 0.0},
+            {"ph": "B", "pid": "p", "tid": "t", "name": "inner", "ts": 1.0},
+            {"ph": "E", "pid": "p", "tid": "t", "name": "outer", "ts": 2.0},
+            {"ph": "E", "pid": "p", "tid": "t", "name": "inner", "ts": 3.0},
+        ]
+    }
+    assert "closes open B 'inner'" in validate_chrome_trace(crossed)
 
 
 def test_flat_exports_cover_all_events(tmp_path):
