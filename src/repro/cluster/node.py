@@ -69,7 +69,7 @@ class ClusterNode:
         self._track = f"cluster.{name}"
         self._peer_name = f"{name}.peer"
         self._peer_fetch_name = f"{name}.peer_fetch"
-        self.counters = CounterSet()
+        self.counters = CounterSet(sim.metrics, "cluster", name)
         # The tier's fill path is routed through this node (owned samples
         # come from the backing store, remote ones from the owning peer) —
         # the "peer tier as a promotion source" seam in core/tiering.
@@ -141,9 +141,6 @@ class ClusterNode:
             if ev.ok:
                 self.counters.add("peer_hits")
                 if tel is not None:
-                    tel.registry.counter(
-                        "cluster.peer_hits_total", object=self.name
-                    ).inc()
                     tel.end(span, outcome="peer")
                 done.succeed(ev.value)
                 return
@@ -152,10 +149,6 @@ class ClusterNode:
                 return
             self.counters.add("peer_misses")
             self.counters.add("fallback_reads")
-            if tel is not None:
-                tel.registry.counter(
-                    "cluster.peer_misses_total", object=self.name
-                ).inc()
             self.store.backing_read(path).add_callback(fell_back)
 
         def fell_back(ev: Event) -> None:

@@ -108,7 +108,7 @@ class ClusterStore:
         self.config = config
         self.name = name
         self.shard_map = ShardMap(paths, config.n_nodes, salt=config.salt)
-        self.counters = CounterSet()
+        self.counters = CounterSet(sim.metrics, "cluster", name)
         self.backing_reader = _BackingReader(self)
         #: per-epoch ledger of backing-store reads issued through the
         #: cluster (path -> count); the invariant check reads off this.
@@ -156,11 +156,6 @@ class ClusterStore:
         """The one road to the backing store; every read is ledgered."""
         self.counters.add("backing_reads")
         self._epoch_backing[path] = self._epoch_backing.get(path, 0) + 1
-        tel = self.sim.telemetry
-        if tel is not None:
-            tel.registry.counter(
-                "cluster.backing_reads_total", object=self.name
-            ).inc()
         return self.backing.read_whole(path)
 
     # -- epoch accounting -------------------------------------------------------------

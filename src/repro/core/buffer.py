@@ -79,7 +79,7 @@ class PrefetchBuffer:
         #: paths already delivered to a consumer this epoch (evict-on-read:
         #: a repeat request for one of these would block forever)
         self._consumed: Set[str] = set()
-        self.counters = CounterSet()
+        self.counters = CounterSet(sim.metrics, "prefetch", name)
         #: time-weighted occupancy, consumed by the control loop
         self.occupancy = TimeWeightedGauge(sim, 0, name=f"{name}.occupancy")
 

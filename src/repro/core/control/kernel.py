@@ -353,9 +353,6 @@ class ControlCycle:
         self.rpc_failures += 1
         if tel is not None:
             tel.end(span, ok=False, error=type(exc).__name__)
-            tel.registry.counter(
-                "control.rpc_failures_total", controller=self.name
-            ).inc()
 
     def _record(self, reg: KernelRegistration, snapshots) -> None:
         """Aggregate and append a monitor poll's result to the history.

@@ -214,7 +214,7 @@ class ControlChannel:
         self.sim = sim
         self.latency = latency
         self.name = name
-        self.counters = CounterSet()
+        self.counters = CounterSet(sim.metrics, "rpc", name)
         #: event and process names, formatted once per channel
         self._labels = {
             label: f"{name}.{label}"

@@ -59,7 +59,7 @@ class PrismaUDSServer:
         self.service_time = service_time
         self.name = name
         self._requests: Store = Store(sim, name=f"{name}.reqs")
-        self.counters = CounterSet()
+        self.counters = CounterSet(sim.metrics, "frameworks", name)
         #: requests currently queued or being handled (contention signal)
         self.backlog = TimeWeightedGauge(sim, 0, name=f"{name}.backlog")
         sim.process(self._dispatch_loop(), name=f"{name}.loop")
@@ -122,7 +122,9 @@ class PrismaTorchClient(PosixLike):
         self.client_overhead = client_overhead
         self._next_fd = 1
         self._open: Dict[int, str] = {}
-        self.counters = CounterSet()
+        self.counters = CounterSet(
+            sim.metrics, "frameworks", f"{server.name}.w{worker_id}"
+        )
 
     # -- metadata (local) ---------------------------------------------------------
     def open(self, path: str) -> int:

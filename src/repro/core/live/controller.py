@@ -18,6 +18,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, List, Optional
 
+from ...telemetry.metrics import MetricsRegistry
 from ..control.kernel import ControlCycle, DirectTransport, GlobalPolicy, StagePort
 from ..control.monitor import MetricsHistory
 from ..control.policy import ControlPolicy, PrismaAutotunePolicy
@@ -32,15 +33,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class _WallClockFrame:
     """A duck-typed stand-in for a Simulator that a Telemetry hub can attach to.
 
-    The hub only needs two things from whatever it is attached to: a
-    ``telemetry`` slot it installs itself into and a ``now`` clock for span
-    stamps.  Here ``now`` is wall-clock seconds since the frame was created,
-    so live traces start at t=0 like simulated ones.
+    The hub needs three things from whatever it is attached to: a
+    ``telemetry`` slot it installs itself into, a ``now`` clock for span
+    stamps and a ``metrics`` registry it reads as its own.  Here ``now`` is
+    wall-clock seconds since the frame was created, so live traces start at
+    t=0 like simulated ones.
     """
 
     def __init__(self) -> None:
         self._t0 = time.monotonic()
         self.telemetry = None
+        self.metrics = MetricsRegistry()
 
     @property
     def now(self) -> float:

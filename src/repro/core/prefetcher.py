@@ -106,6 +106,10 @@ class ParallelPrefetcher(PrefetchCore, OptimizationObject):
             raise ValueError("retry_backoff must be >= 0")
         self.buffer = self._new_buffer(buffer_capacity)
         self._serve_name = f"{name}.serve"
+        #: request-to-delivery time of each traced serve
+        self._serve_latency = sim.metrics.histogram(
+            "prisma.serve_latency_seconds", object=name
+        )
         self.max_read_retries = max_read_retries
         self.retry_backoff = retry_backoff
         #: live producer processes, for supervision and crash injection
@@ -206,9 +210,6 @@ class ParallelPrefetcher(PrefetchCore, OptimizationObject):
                     payload, nbytes = _storage_error(exc), None
                     if fetch is not None:
                         tel.end(fetch, outcome="error", error=type(payload).__name__)
-                        tel.registry.counter(
-                            "prisma.fetch_errors_total", object=self.name
-                        ).inc()
                 finally:
                     self.active_producers.decrement()
                 if fetch is not None and nbytes is not None:
@@ -244,12 +245,11 @@ class ParallelPrefetcher(PrefetchCore, OptimizationObject):
         done = Event(self.sim, name=self._serve_name)
         if tel is not None:
             serve_span.args["hit"] = hit
-            hist = tel.registry.histogram("prisma.serve_latency_seconds", object=self.name)
             start = self.sim.now
 
             def record_serve(ev: Event) -> None:
                 tel.end(serve_span, ok=ev.ok)
-                hist.observe(self.sim.now - start)
+                self._serve_latency.observe(self.sim.now - start)
 
             done.add_callback(record_serve)
 

@@ -53,7 +53,7 @@ class _SharedBuffer:
         self.fanout = fanout
         self._store: FilterStore = FilterStore(sim, capacity=capacity, name=name)
         self._waiters: Dict[str, List[Event]] = {}
-        self.counters = CounterSet()
+        self.counters = CounterSet(sim.metrics, "prefetch", name)
         self.occupancy = TimeWeightedGauge(sim, 0, name=f"{name}.occupancy")
 
     @property

@@ -56,7 +56,7 @@ class PrismaStage(PosixLike):
         self.optimizations: List[OptimizationObject] = list(optimizations or [])
         self._next_fd = 1000  # distinct range from the backend's table
         self._open: Dict[int, _StageOpenFile] = {}
-        self.counters = CounterSet()
+        self.counters = CounterSet(sim.metrics, "prefetch", name)
         #: optional :class:`~repro.telemetry.LatencyRecorder` fed
         #: with per-request service times (the monitoring plane's "I/O rate"
         #: metrics, at distribution granularity)

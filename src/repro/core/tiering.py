@@ -159,7 +159,7 @@ class TieringObject(OptimizationObject):
         #: path -> in-flight read-through fetch (concurrent requests coalesce)
         self._fetching: Dict[str, Event] = {}
         self._fetch_name = f"{name}.fetch"
-        self.counters = CounterSet()
+        self.counters = CounterSet(sim.metrics, "tiering", name)
 
     # -- data path --------------------------------------------------------------
     def read_whole(self, path: str) -> Event:
@@ -169,16 +169,11 @@ class TieringObject(OptimizationObject):
         the prefetcher's producers use, so a tiering object can sit directly
         under the RAM buffer as the prefetcher's backend.
         """
-        tel = self.sim.telemetry
         if path in self._resident:
             self._resident.move_to_end(path)
             self.counters.add("fast_hits")
-            if tel is not None:
-                tel.registry.counter("prisma.tier_hits_total", object=self.name).inc()
             return self.fast_fs.read_whole(self._tier_path(path))
         self.counters.add("slow_reads")
-        if tel is not None:
-            tel.registry.counter("prisma.tier_misses_total", object=self.name).inc()
         count = self._access_counts.get(path, 0) + 1
         self._access_counts[path] = count
         if path not in self._promoting and self._should_promote(path, count):
@@ -203,20 +198,15 @@ class TieringObject(OptimizationObject):
         ``admit=False`` reads through without caching — a requester that
         does not own the sample and should not displace its own shard.
         """
-        tel = self.sim.telemetry
         if path in self._resident:
             self._resident.move_to_end(path)
             self.counters.add("fast_hits")
-            if tel is not None:
-                tel.registry.counter("prisma.tier_hits_total", object=self.name).inc()
             return self.fast_fs.read_whole(self._tier_path(path))
         inflight = self._fetching.get(path)
         if inflight is not None:
             self.counters.add("coalesced_fetches")
             return inflight
         self.counters.add("slow_reads")
-        if tel is not None:
-            tel.registry.counter("prisma.tier_misses_total", object=self.name).inc()
         done = Event(self.sim, name=self._fetch_name)
         self._fetching[path] = done
         done.add_callback(lambda _ev: self._fetching.pop(path, None))
@@ -311,11 +301,6 @@ class TieringObject(OptimizationObject):
         self._resident[path] = int(nbytes)
         self._resident_bytes += int(nbytes)
         self.counters.add("promotions")
-        tel = self.sim.telemetry
-        if tel is not None:
-            tel.registry.counter(
-                "prisma.tier_promotions_total", object=self.name
-            ).inc()
 
     def _demote(self, victim: str) -> None:
         """Drop one resident file (the slow tier remains authoritative)."""

@@ -41,7 +41,7 @@ class StepBarrier:
         self._arrivals: Dict[int, int] = {}
         self._gates: Dict[int, Event] = {}
         self._highest_completed = -1
-        self.counters = CounterSet()
+        self.counters = CounterSet(sim.metrics, "distributed", name)
         #: cumulative time parties spent blocked at the barrier
         self.total_wait = 0.0
         self._arrival_times: Dict[int, List[float]] = {}

@@ -22,7 +22,7 @@ to the next surviving window (or health) as each closes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from ..simcore.random import RandomStreams
 from ..telemetry import CounterSet
@@ -43,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.control.rpc import ControlChannel
     from ..core.prefetcher import ParallelPrefetcher
     from ..simcore.kernel import Simulator
-    from ..telemetry import Tracer
     from ..storage.device import BlockDevice
 
 
@@ -53,22 +52,18 @@ class FaultInjector:
     Attach targets first (:meth:`attach_device` & friends), then
     :meth:`install` one or more plans.  Counters
     (``faults_injected``, per-kind counts, ``read_errors_injected``)
-    feed the fault-sweep report and the chaos tests; pass a
-    :class:`~repro.telemetry.Tracer` to get ``fault.begin`` /
-    ``fault.end`` rows on the experiment trace.
+    feed the fault-sweep report and the chaos tests.
     """
 
     def __init__(
         self,
         sim: "Simulator",
         streams: Optional[RandomStreams] = None,
-        tracer: Optional["Tracer"] = None,
         name: str = "faults",
     ) -> None:
         self.sim = sim
         self.name = name
-        self.tracer = tracer
-        self.counters = CounterSet()
+        self.counters = CounterSet(sim.metrics, "faults", name)
         self._rng = (streams or RandomStreams(0)).stream(f"{name}.reads")
         self._devices: List["BlockDevice"] = []
         self._filesystems: List[Any] = []
@@ -124,13 +119,6 @@ class FaultInjector:
         return self.counters.get("faults_injected")
 
     # -- event firing -------------------------------------------------------------
-    def _trace(self, edge: str, ev: FaultEvent, detail: Optional[Dict[str, Any]] = None) -> None:
-        if self.tracer is not None:
-            payload = {"kind": ev.kind, "severity": ev.severity, "target": ev.target}
-            if detail:
-                payload.update(detail)
-            self.tracer.record(f"fault.{edge}", payload)
-
     def _begin(self, ev: FaultEvent) -> None:
         self.counters.add("faults_injected")
         self.counters.add(ev.kind)
@@ -145,8 +133,6 @@ class FaultInjector:
                     if pf.crash_producer(cause=f"{self.name}: scheduled crash"):
                         kills += 1
             self.counters.add("producers_crashed", kills)
-            self._trace("begin", ev, {"killed": kills})
-            return
         elif ev.kind == RPC_DROP:
             self._drop_windows += 1
             for ch in self._channels:
@@ -156,7 +142,6 @@ class FaultInjector:
             for ch in self._channels:
                 ch.inject_delay(ev.severity)
         # read_error_burst / latency_spike act purely via the read hook.
-        self._trace("begin", ev)
 
     def _end(self, ev: FaultEvent) -> None:
         if ev.kind == DEVICE_SLOWDOWN:
@@ -174,7 +159,6 @@ class FaultInjector:
             extra = self._active_delays[-1].severity if self._active_delays else 0.0
             for ch in self._channels:
                 ch.inject_delay(extra)
-        self._trace("end", ev)
 
     # -- read-path hook -----------------------------------------------------------
     def _read_hook(self, path: str, nbytes: int) -> Optional[ReadFault]:

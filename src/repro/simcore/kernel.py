@@ -30,6 +30,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional
 
+from ..telemetry.metrics import MetricsRegistry
 from .errors import (
     Interrupt,
     ProcessError,
@@ -205,27 +206,11 @@ class Simulator:
         #: denominator of the BENCH_simcore events/sec metric.
         self.events_processed = 0
         #: observability hook — a :class:`repro.telemetry.Telemetry` hub, or
-        #: None (the default: instrumented layers skip all recording).  Set
+        #: None (the default: instrumented layers record no spans).  Set
         #: via ``Telemetry.attach(sim)``, never assigned directly.
         self.telemetry: Optional[Any] = None
-
-    # -- telemetry hooks -------------------------------------------------------
-    def span_begin(self, name: str, track: str, cat: str = "misc", **args: Any) -> Optional[Any]:
-        """Open a telemetry span at the current sim time (None when untraced).
-
-        Convenience for call sites that don't want to touch the hub API;
-        hot paths should load ``sim.telemetry`` once and call it directly.
-        """
-        tel = self.telemetry
-        if tel is None:
-            return None
-        return tel.begin(name, track, cat, **args)
-
-    def span_end(self, span: Optional[Any], **args: Any) -> None:
-        """Close a span from :meth:`span_begin` (no-op on None)."""
-        tel = self.telemetry
-        if tel is not None and span is not None:
-            tel.end(span, **args)
+        #: the always-on metrics of this run: every layer's counters
+        self.metrics = MetricsRegistry()
 
     # -- scheduling primitives (kernel-internal) ------------------------------
     def _enqueue_at(self, time: float, event: Event) -> None:

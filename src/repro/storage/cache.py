@@ -50,7 +50,7 @@ class PageCache:
         self.capacity_bytes = float(capacity_bytes)
         self._entries: KeyedIndex = KeyedIndex()  # path -> bytes
         self._used = 0.0
-        self.counters = CounterSet()
+        self.counters = CounterSet(sim.metrics, "storage", name)
 
     @property
     def used_bytes(self) -> float:
@@ -67,12 +67,10 @@ class PageCache:
             self.counters.add("hits")
             if tel is not None:
                 tel.instant("cache.hit", f"storage.{self.name}", "storage", path=path)
-                tel.registry.counter("storage.cache_lookups_total", cache=self.name, outcome="hit").inc()
             return True
         self.counters.add("misses")
         if tel is not None:
             tel.instant("cache.miss", f"storage.{self.name}", "storage", path=path)
-            tel.registry.counter("storage.cache_lookups_total", cache=self.name, outcome="miss").inc()
         return False
 
     def hit_service_time(self, nbytes: float) -> float:

@@ -261,7 +261,7 @@ class BlockDevice:
             self._seek_slots = Resource(
                 sim, capacity=self.profile.seek_concurrency, name=f"{name}.seek"
             )
-        self.counters = CounterSet()
+        self.counters = CounterSet(sim.metrics, "storage", name)
         #: current read-bandwidth scale (1.0 = healthy; see degrade_reads)
         self.read_degradation = 1.0
         #: writes currently in flight (drives mixed-workload interference)

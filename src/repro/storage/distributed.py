@@ -86,7 +86,7 @@ class DistributedFilesystem:
         self.cache = PageCache(sim, 0.0, name=f"{name}.cache")
         self._files: Dict[str, SimFile] = {}
         self._placement: Dict[str, int] = {}
-        self.counters = CounterSet()
+        self.counters = CounterSet(sim.metrics, "storage", name)
         #: fault-injection seam, same contract as :class:`Filesystem`'s
         self.fault_hook: Optional[FaultHook] = None
         #: per-epoch read ledger: path -> completed reads since the last
@@ -260,9 +260,6 @@ class DistributedFilesystem:
             self.counters.add("writes")
             self.counters.add("write_bytes", nbytes)
             if span is not None:
-                tel.registry.counter(
-                    "storage.write_bytes_total", object=self.name
-                ).inc(nbytes)
                 tel.end(span, outcome="ost")
             done.succeed(nbytes)
 

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from ..simcore.errors import SimulationError, process_error
 from ..simcore.event import Event
+from ..telemetry import CounterSet
 from .cache import PageCache
 from .device import BlockDevice
 
@@ -125,6 +126,7 @@ class Filesystem:
         self._read_name = f"fsread:{name}"
         self._write_name = f"fswrite:{name}"
         self._files: Dict[str, SimFile] = {}
+        self.counters = CounterSet(sim.metrics, "storage", name)
         #: fault-injection seam: consulted per data read when installed
         self.fault_hook: Optional[FaultHook] = None
 
@@ -275,10 +277,8 @@ class Filesystem:
             if nbytes > 0:
                 meta.size = max(meta.size, offset + nbytes)
                 self.cache.invalidate(path)
+            self.counters.add("write_bytes", nbytes)
             if span is not None:
-                tel.registry.counter(
-                    "storage.write_bytes_total", object=self.name
-                ).inc(nbytes)
                 tel.end(span, outcome="device")
             done.succeed(nbytes)
 

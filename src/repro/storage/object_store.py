@@ -135,7 +135,7 @@ class ObjectStore:
         self._objects: Dict[str, SimFile] = {}
         #: fault-injection seam, same contract as :class:`Filesystem`'s
         self.fault_hook: Optional[FaultHook] = None
-        self.counters = CounterSet()
+        self.counters = CounterSet(sim.metrics, "storage", name)
 
     # -- namespace ---------------------------------------------------------------
     def create(self, path: str, size: int) -> SimFile:
@@ -264,9 +264,6 @@ class ObjectStore:
             self.counters.add("puts")
             self.counters.add("write_bytes", nbytes)
             if span is not None:
-                tel.registry.counter(
-                    "storage.write_bytes_total", object=self.name
-                ).inc(nbytes)
                 tel.end(span, outcome="service")
             done.succeed(nbytes)
 

@@ -2,31 +2,35 @@
 
 One subsystem owns every measurement the simulator produces:
 
+* **Metrics** (:class:`MetricsRegistry`, :class:`Counter`, :class:`Gauge`,
+  :class:`Histogram`) — labelled instruments.  Every simulator owns one
+  always-on registry, ``sim.metrics``; each layer's counters live there.
 * **Spans** (:class:`Telemetry`, :class:`Span`, :class:`TraceContext`) —
   begin/end intervals and instant events on named tracks, stamped with
-  sim-time, threaded across layers by trace contexts.
-* **Metrics** (:class:`MetricsRegistry`, :class:`Counter`, :class:`Gauge`,
-  :class:`Histogram`) — labelled instruments with near-zero disabled cost.
+  sim-time, threaded across layers by trace contexts.  Opt-in: a hub
+  attached to a simulator records them and reads its registry.
 * **Sim-clock instruments** (:class:`TimeWeightedGauge`,
-  :class:`CounterSet`) and **recorders** (:class:`LatencyRecorder`) —
-  the pre-existing primitives, now homed here.
+  :class:`CounterSet`, a per-object view over the registry) and
+  **recorders** (:class:`LatencyRecorder`).
 * **Exporters** (:func:`write_chrome_trace`, :func:`write_jsonl`,
-  :func:`write_csv`) — Chrome/Perfetto trace JSON plus flat rows, all
-  byte-deterministic under a fixed simulation seed.
+  :func:`write_csv`, :func:`write_metrics_json`) — Chrome/Perfetto trace
+  JSON plus flat rows, all byte-deterministic under a fixed simulation
+  seed.
 
 Typical use::
 
+    from repro.simcore import Simulator
     from repro.telemetry import Telemetry, write_chrome_trace
 
-    tel = Telemetry()
-    sim = Simulator(seed=7)
-    tel.attach(sim, process="tf-prisma")
+    sim = Simulator()
+    tel = Telemetry().attach(sim, process="tf-prisma")
     ...  # build + run; every layer reports through sim.telemetry
     write_chrome_trace(tel, "trace.json")
+    sim.metrics.collect()  # every layer's counters, traced or not
 
-The legacy homes (``repro.simcore.tracing``, ``repro.metrics``'s recorder
-names, ``repro.core.control.MetricsSnapshot``) still import but emit
-:class:`DeprecationWarning`; new code imports from here.
+The pre-telemetry homes (``repro.simcore.tracing``, ``repro.metrics``'s
+recorder names, ``repro.core.control.MetricsSnapshot``) are gone; import
+from here.
 """
 
 from .export import (
@@ -38,7 +42,7 @@ from .export import (
     write_metrics_json,
 )
 from .hub import Telemetry
-from .instruments import CounterSet, GaugeSample, TimeWeightedGauge
+from .instruments import CounterSet, TimeWeightedGauge
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .recorders import LatencyRecorder, LatencySummary
 from .snapshot import MetricsSnapshot
@@ -60,7 +64,6 @@ __all__ = [
     "Histogram",
     # sim-clock instruments
     "TimeWeightedGauge",
-    "GaugeSample",
     "CounterSet",
     # recorders
     "LatencyRecorder",

@@ -25,6 +25,10 @@ Design points:
   ``process`` label groups subsequent spans under a fresh Chrome pid —
   the CLI uses this to put each trial of an experiment grid in its own
   process lane of a single artifact.
+* **The simulator's registry.**  ``registry`` is the attached simulator's
+  always-on ``sim.metrics`` (its counters run whether or not a hub is
+  attached).  It stays readable after :meth:`detach`; a hub that spans
+  several runs reports the last simulator it was attached to.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ class Telemetry:
 
     def __init__(self, name: str = "repro", max_events: Optional[int] = None) -> None:
         self.name = name
+        #: the last attached simulator's ``sim.metrics`` (empty until then)
         self.registry = MetricsRegistry()
         self.events: List[Span] = []
         self.counter_samples: List[CounterSample] = []
@@ -68,12 +73,14 @@ class Telemetry:
 
         ``process`` labels the run (one Chrome pid per distinct label);
         re-attaching to a fresh simulator starts a new process group while
-        keeping everything already recorded.
+        keeping every span already recorded.  ``registry`` becomes the
+        simulator's ``sim.metrics``.
         """
         if self._sim is not None and self._sim is not sim:
             self.detach()
         self._sim = sim
         sim.telemetry = self
+        self.registry = sim.metrics
         if process is not None:
             self._process = process
         if self._process not in self._processes:
@@ -81,7 +88,10 @@ class Telemetry:
         return self
 
     def detach(self) -> None:
-        """Disconnect from the current simulator (its hook returns to None)."""
+        """Disconnect from the current simulator (its hook returns to None).
+
+        ``registry`` keeps the simulator's metrics for reading afterwards.
+        """
         if self._sim is not None:
             self._sim.telemetry = None
             self._sim = None

@@ -1,28 +1,21 @@
-"""Sim-clock instruments: time-weighted gauges and counter bags.
+"""Sim-clock instruments: time-weighted gauges and per-object counter views.
 
 These are the simulation-aware primitives the data plane has always used
 (previously homed in ``repro.simcore.tracing``): a
 :class:`TimeWeightedGauge` integrates a piecewise-constant value over
 simulated time — it directly produces the paper's Figure 3 CDF — and a
-:class:`CounterSet` is a named bag of monotonic counters.
+:class:`CounterSet` is one object's named view of its counters in a
+:class:`~repro.telemetry.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+from .metrics import Counter, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.kernel import Simulator
-
-
-@dataclass
-class GaugeSample:
-    """A piecewise-constant segment ``[start, end)`` at ``value``."""
-
-    start: float
-    end: float
-    value: float
 
 
 class TimeWeightedGauge:
@@ -41,8 +34,6 @@ class TimeWeightedGauge:
         self._start = sim.now
         #: seconds accumulated at each observed value
         self._time_at: Dict[float, float] = {}
-        self._history: List[GaugeSample] = []
-        self.record_history = False
 
     @property
     def value(self) -> float:
@@ -66,8 +57,6 @@ class TimeWeightedGauge:
         duration = now - self._since
         if duration > 0:
             self._time_at[self._value] = self._time_at.get(self._value, 0.0) + duration
-            if self.record_history:
-                self._history.append(GaugeSample(self._since, now, self._value))
 
     def histogram(self) -> Dict[float, float]:
         """Seconds spent at each value, including the in-progress segment."""
@@ -119,19 +108,42 @@ class TimeWeightedGauge:
 
 
 class CounterSet:
-    """A named bag of monotonically increasing counters."""
+    """One object's counters, kept in a :class:`MetricsRegistry`.
 
-    def __init__(self) -> None:
-        self._counters: Dict[str, float] = {}
+    Key ``k`` of an object of ``layer`` is the registry counter
+    ``<layer>.<k>_total`` labelled ``object=<name>``, bound on first use;
+    the view stores no count of its own.  ``name`` is claimed from the
+    registry, so a second object with the same layer and name counts under
+    ``<name>#1`` (see :meth:`MetricsRegistry.claim`).  With no registry the
+    view keeps a private one.
+    """
 
-    def add(self, name: str, amount: float = 1.0) -> None:
-        self._counters[name] = self._counters.get(name, 0.0) + amount
+    def __init__(
+        self,
+        registry: Optional[MetricsRegistry] = None,
+        layer: str = "counters",
+        name: str = "",
+    ) -> None:
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.layer = layer
+        #: the ``object`` label of every counter in this view
+        self.label = self.registry.claim(layer, name)
+        self._bound: Dict[str, Counter] = {}
 
-    def get(self, name: str) -> float:
-        return self._counters.get(name, 0.0)
+    def add(self, key: str, amount: float = 1.0) -> None:
+        counter = self._bound.get(key)
+        if counter is None:
+            counter = self._bound[key] = self.registry.counter(
+                f"{self.layer}.{key}_total", object=self.label
+            )
+        counter.value += amount
+
+    def get(self, key: str) -> float:
+        counter = self._bound.get(key)
+        return 0.0 if counter is None else counter.value
 
     def as_dict(self) -> Dict[str, float]:
-        return dict(self._counters)
+        return {key: counter.value for key, counter in self._bound.items()}
 
-    def __getitem__(self, name: str) -> float:
-        return self.get(name)
+    def __getitem__(self, key: str) -> float:
+        return self.get(key)

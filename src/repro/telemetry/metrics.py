@@ -1,13 +1,13 @@
 """The metrics registry: labelled counters, gauges, and histograms.
 
-One registry per :class:`~repro.telemetry.hub.Telemetry` hub (or standalone).
-Instruments are interned by ``(name, labels)`` so repeated lookups on a hot
-path return the same object; callers that care about the last few
-nanoseconds should still cache the instrument reference.
-
-A disabled registry hands out shared no-op instruments, so instrumented
-code pays one dict lookup at *creation* and nothing per observation —
-"near-zero cost when disabled".
+Every :class:`~repro.simcore.kernel.Simulator` owns one registry,
+``sim.metrics``, and it is always on: each layer's
+:class:`~repro.telemetry.instruments.CounterSet` keeps its counts in it,
+and a :class:`~repro.telemetry.hub.Telemetry` hub attached to the
+simulator reads the same registry as ``hub.registry``.  Instruments are
+interned by ``(name, labels)``; instrumented code binds each one once
+(at construction, or on first use) and then pays one attribute update
+per observation, never a lookup by name.
 """
 
 from __future__ import annotations
@@ -115,44 +115,13 @@ class Histogram:
         }
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:  # noqa: D102 - no-op
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:  # noqa: D102 - no-op
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:  # noqa: D102 - no-op
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:  # noqa: D102 - no-op
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:  # noqa: D102 - no-op
-        pass
-
-
-_NULL_COUNTER = _NullCounter("null")
-_NULL_GAUGE = _NullGauge("null")
-_NULL_HISTOGRAM = _NullHistogram("null")
-
-
 class MetricsRegistry:
     """Interned, labelled instruments with a single collection point."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, str, _LabelKey], object] = {}
+        #: (layer, object name) -> how many objects have claimed the name
+        self._claims: Dict[Tuple[str, str], int] = {}
 
     def _intern(self, kind: str, factory, name: str, labels: Dict[str, object]):
         key = (kind, name, _label_key(labels))
@@ -163,19 +132,31 @@ class MetricsRegistry:
         return inst
 
     def counter(self, name: str, **labels: object) -> Counter:
-        if not self.enabled:
-            return _NULL_COUNTER
         return self._intern("counter", Counter, name, labels)
 
     def gauge(self, name: str, **labels: object) -> Gauge:
-        if not self.enabled:
-            return _NULL_GAUGE
         return self._intern("gauge", Gauge, name, labels)
 
     def histogram(self, name: str, **labels: object) -> Histogram:
-        if not self.enabled:
-            return _NULL_HISTOGRAM
         return self._intern("histogram", Histogram, name, labels)
+
+    def claim(self, layer: str, name: str) -> str:
+        """A label for one more object of ``layer`` called ``name``.
+
+        The first object gets ``name`` itself, later ones ``name#1``,
+        ``name#2`` … in construction order, so two objects that share a
+        name (every cache-less filesystem's ``pagecache``) keep separate
+        counts, deterministically.
+        """
+        n = self._claims.get((layer, name), 0)
+        label = name if n == 0 else f"{name}#{n}"
+        while (layer, label) in self._claims:
+            n += 1
+            label = f"{name}#{n}"
+        self._claims[(layer, name)] = n + 1
+        if label != name:
+            self._claims[(layer, label)] = 1
+        return label
 
     def __len__(self) -> int:
         return len(self._instruments)

@@ -1,11 +1,11 @@
 """The unified telemetry subsystem: hub, registry, export, and shims.
 
 Covers the :mod:`repro.telemetry` public API — span recording with lane
-allocation, the labelled metrics registry, the Chrome-trace exporter and
-its validator — plus the contract this PR makes with downstream users:
-traced experiment runs are byte-reproducible under a fixed seed, legacy
-import paths still work (but warn), and no repro-internal module triggers
-those warnings itself.
+allocation, the labelled metrics registry every simulator owns, the
+Chrome-trace exporter and its validator — plus the contract with
+downstream users: traced experiment runs are byte-reproducible under a
+fixed seed, the legacy import paths are gone, and importing repro raises
+no deprecation warning.
 """
 
 import json
@@ -17,10 +17,20 @@ from pathlib import Path
 import pytest
 
 from repro.core import PrismaConfig, StaticPolicy, build_prisma
-from repro.experiments import ExperimentScale, run_tf_trial
+from repro.core.buffer import PrefetchBuffer
+from repro.experiments import ExperimentScale, figure2_scale, run_tf_trial
+from repro.experiments.cluster import run_cluster_serving
 from repro.frameworks.models import LENET
 from repro.simcore import Simulator
-from repro.storage import BlockDevice, Filesystem, PosixLayer, intel_p4600, ramdisk, sata_hdd
+from repro.storage import (
+    BlockDevice,
+    Filesystem,
+    PageCache,
+    PosixLayer,
+    intel_p4600,
+    ramdisk,
+    sata_hdd,
+)
 from repro.telemetry import (
     MetricsRegistry,
     Telemetry,
@@ -67,14 +77,56 @@ def test_registry_counters_reject_negative():
         reg.counter("ops").inc(-1)
 
 
-def test_disabled_registry_hands_out_noops():
-    reg = MetricsRegistry(enabled=False)
-    reg.counter("x").inc(5)
-    reg.gauge("y").set(3)
-    reg.histogram("z").observe(1.0)
-    assert reg.counter("x").value == 0
-    assert reg.gauge("y").value == 0
-    assert len(reg) == 0  # nothing registered, nothing exported
+def test_counters_live_in_the_simulators_registry_untraced():
+    """Every layer counts into ``sim.metrics``, with no hub attached."""
+    sim = Simulator()
+    cache = PageCache(sim, 0.0)
+    twin = PageCache(sim, 0.0)  # same name: the second counts apart
+    buf = PrefetchBuffer(sim, capacity=4)
+    fs = Filesystem(sim, BlockDevice(sim, ramdisk()))
+    fs.create("/f", 0)
+
+    def drive():
+        cache.lookup("/a")
+        cache.lookup("/b")
+        twin.lookup("/a")
+        yield buf.insert("/s", 1024)
+        _hit, fetched = buf.request("/s")
+        yield fetched
+        yield fs.write("/f", 4096)
+
+    sim.process(drive())
+    sim.run()
+    assert sim.telemetry is None
+    counter = sim.metrics.counter
+    assert cache.counters.get("misses") == 2
+    assert twin.counters.get("misses") == 1
+    assert counter("storage.misses_total", object="pagecache").value == 2
+    assert counter("storage.misses_total", object="pagecache#1").value == 1
+    for key in ("inserts", "hits"):
+        assert buf.counters.get(key) == 1
+        assert counter(f"prefetch.{key}_total", object="prisma.buffer").value == 1
+    assert fs.counters.get("write_bytes") == 4096
+    assert counter("storage.write_bytes_total", object="fs").value == 4096
+    assert counter("storage.write_bytes_total", object="dev0").value == 4096
+
+
+def test_registry_outlives_detach():
+    """The hub reads its simulator's registry, also after the run detaches."""
+    tel = Telemetry()
+    report = run_cluster_serving(
+        0, n_nodes=4, n_files=32, file_size=64 * 1024, epochs=2, telemetry=tel
+    )
+    backing = tel.registry.counter("cluster.backing_reads_total", object="cluster")
+    assert backing.value == report.backing_reads == 32
+
+
+def test_readme_serve_latency_histogram():
+    """README's tracing example: the histogram of one quick LeNet trial."""
+    tel = Telemetry()
+    run_tf_trial("tf-prisma", LENET, 256, figure2_scale(quick=True), telemetry=tel)
+    hist = tel.registry.histogram("prisma.serve_latency_seconds", object="prisma.prefetch")
+    assert hist.summary()["count"] == 6405
 
 
 def test_registry_collect_is_deterministic():
