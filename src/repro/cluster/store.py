@@ -23,7 +23,7 @@ experiments and the CI regression gate read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from ..core.control.rpc import REMOTE_LATENCY, ControlChannel, RetryPolicy
 from ..simcore.event import Event
@@ -178,11 +178,6 @@ class ClusterStore:
         """Worst per-sample redundancy this epoch (1 = perfectly cooperative)."""
         return max(self._epoch_backing.values(), default=0)
 
-    def epoch_redundancy(self) -> float:
-        """Mean backing reads per *touched* sample this epoch (>= 1.0)."""
-        unique = len(self._epoch_backing)
-        return self.epoch_backing_reads / unique if unique else 0.0
-
     # -- aggregate accounting ----------------------------------------------------------
     def totals(self) -> Dict[str, int]:
         """Cluster-wide counter sums (node counters + the backing funnel)."""
@@ -229,9 +224,6 @@ class ClusterStore:
 
     def resident_bytes(self) -> int:
         return sum(n.resident_bytes for n in self.nodes)
-
-    def shard_paths(self, index: int) -> Sequence[str]:
-        return self.shard_map.shard(index)
 
     def __repr__(self) -> str:
         return (

@@ -15,8 +15,9 @@ Internals (this is the data plane's hot path — paper §IV argues a buffer
 hit must cost no more than a memory copy):
 
 * Storage is a :class:`~repro.simcore.resources.KeyedStore`: items live in
-  a dict keyed by path and each blocked consumer parks on a *per-path*
-  waiter list, so ``insert``/``request``/``contains`` are all O(1).  (The
+  its dict keyed by path (``items``, whose length is the occupancy) and
+  each blocked consumer parks on a *per-path* waiter list, so
+  ``insert``/``request``/``contains`` are all O(1).  (The
   previous :class:`~repro.simcore.resources.FilterStore` backing re-scanned
   every queued getter against every buffered item per dispatch —
   O(getters × items), quadratic over an epoch at the paper's scale.)
@@ -96,9 +97,6 @@ class PrefetchBuffer:
     def level(self) -> int:
         return self._store.level
 
-    def fill_fraction(self) -> float:
-        return self.level / self.capacity
-
     # -- epoch lifecycle ----------------------------------------------------------
     def begin_epoch(self) -> None:
         """Reset consumed-path tracking for a new epoch's filename list.
@@ -128,14 +126,16 @@ class PrefetchBuffer:
                 "buffer.insert", f"{self.name}.insert", "buffer", lane=True,
                 path=path, staged_error=isinstance(payload, Exception),
             )
-        put = self._store.put(path, payload)
+        store = self._store
+        put = store.put(path, payload)
 
         def settled(ev: Event) -> None:
             if ev.ok:
-                self.occupancy.set(self.level)
+                level = len(store.items)
+                self.occupancy.set(level)
                 if tel is not None:
                     tel.end(span, ok=True)
-                    tel.sample(f"{self.name}.occupancy", self.level)
+                    tel.sample(f"{self.name}.occupancy", level)
             elif tel is not None:
                 tel.end(span, ok=False)
 
@@ -146,7 +146,7 @@ class PrefetchBuffer:
 
     # -- consumer side ------------------------------------------------------------
     def contains(self, path: str) -> bool:
-        return self._store.contains(path)
+        return path in self._store.items
 
     def request(self, path: str) -> Tuple[bool, Event]:
         """Consume (and evict) the sample for ``path``.
@@ -162,11 +162,12 @@ class PrefetchBuffer:
         with :class:`DuplicateRequestError` instead of blocking forever.
         """
         tel = self.sim.telemetry
-        hit = self._store.contains(path)
+        store = self._store
+        hit = path in store.items
         if not hit and path in self._consumed:
             # The path is owned by an earlier request: either a consumer is
             # still parked on it, or it was already delivered this epoch.
-            in_flight = self._store.waiting(path) > 0
+            in_flight = store.waiting(path) > 0
             self.counters.add("duplicate_requests")
             if tel is not None:
                 tel.instant("buffer.duplicate", self.name, "buffer", path=path)
@@ -197,15 +198,16 @@ class PrefetchBuffer:
         # what makes a concurrent duplicate request fail fast instead of
         # parking on a key that will never be re-staged.
         self._consumed.add(path)
-        get = self._store.get(path)
+        get = store.get(path)
 
         def settled(ev: Event) -> None:
             if ev.ok:
-                self.occupancy.set(self.level)
+                level = len(store.items)
+                self.occupancy.set(level)
                 if tel is not None:
                     if wait_span is not None:
                         tel.end(wait_span, ok=True)
-                    tel.sample(f"{self.name}.occupancy", self.level)
+                    tel.sample(f"{self.name}.occupancy", level)
             elif wait_span is not None:
                 tel.end(wait_span, ok=False)
 

@@ -289,9 +289,6 @@ class ControlCycle:
     def registrations(self) -> List[KernelRegistration]:
         return list(self._registrations)
 
-    def ports(self) -> List[StagePort]:
-        return [reg.port for reg in self._registrations]
-
     def histories(self) -> Dict[str, MetricsHistory]:
         return {reg.port.name: reg.history for reg in self._registrations}
 

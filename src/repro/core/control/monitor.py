@@ -65,9 +65,6 @@ class MetricsHistory:
     def producer_series(self) -> List[Tuple[float, int]]:
         return [(s.time, s.producers_allocated) for s in self._snapshots]
 
-    def buffer_series(self) -> List[Tuple[float, int, int]]:
-        return [(s.time, s.buffer_level, s.buffer_capacity) for s in self._snapshots]
-
     def peak_producers(self) -> int:
         return max((s.producers_allocated for s in self._snapshots), default=0)
 

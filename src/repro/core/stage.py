@@ -68,9 +68,6 @@ class PrismaStage(PosixLike):
         #: integrations, extendable by callers
         self.feature_labels: Dict[str, object] = {}
 
-    def add_optimization(self, opt: OptimizationObject) -> None:
-        self.optimizations.append(opt)
-
     # -- epoch coordination ------------------------------------------------------
     def load_epoch(self, paths: Iterable[str]) -> None:
         """Hand the framework's shuffled filenames list to every object."""

@@ -380,11 +380,6 @@ class TieringObject(OptimizationObject):
         return len(self._promoting)
 
     @property
-    def fetches_in_flight(self) -> int:
-        """Read-through fetches currently coalescing concurrent requests."""
-        return len(self._fetching)
-
-    @property
     def tracked_access_paths(self) -> int:
         """Size of the access-count table (the leak regression surface)."""
         return len(self._access_counts)

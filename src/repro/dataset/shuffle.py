@@ -13,7 +13,7 @@ enqueue prefetches, without any coordination at run time.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -43,10 +43,6 @@ class EpochShuffler:
         rng = self._streams.fresh(f"{self.name}.epoch{epoch}")
         return rng.permutation(self.n).astype(np.int64)
 
-    def iter_epochs(self, epochs: int) -> Iterator[np.ndarray]:
-        for e in range(epochs):
-            yield self.order(e)
-
 
 class SequentialOrder:
     """No shuffling — in-order access; for ablations and analytic checks."""
@@ -58,10 +54,6 @@ class SequentialOrder:
 
     def order(self, epoch: int) -> np.ndarray:
         return np.arange(self.n, dtype=np.int64)
-
-    def iter_epochs(self, epochs: int) -> Iterator[np.ndarray]:
-        for e in range(epochs):
-            yield self.order(e)
 
 
 def shuffled_filenames(catalog: DatasetCatalog, shuffler: EpochShuffler, epoch: int) -> List[str]:

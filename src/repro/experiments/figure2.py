@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..frameworks.models import ALEXNET, LENET, RESNET50, ModelProfile
 from ..metrics.summary import RunStats, reduction_percent, run_stats
 from .config import ExperimentScale, HardwareProfile, figure2_scale
-from .paper import FIG2_LENET_SECONDS, FIG2_REDUCTION_VS_BASELINE
+from .paper import FIG2_LENET_SECONDS
 from .runner import TF_SETUPS, TrialResult, run_tf_trial
 
 DEFAULT_MODELS: Tuple[ModelProfile, ...] = (LENET, ALEXNET, RESNET50)
@@ -112,7 +112,3 @@ def paper_reference(model: str, batch_size: int, setup: str) -> Optional[float]:
         key = (batch_size, setup.replace("tf-", ""))
         return FIG2_LENET_SECONDS.get(key)
     return None
-
-
-def expected_reduction(model: str) -> float:
-    return FIG2_REDUCTION_VS_BASELINE[model]

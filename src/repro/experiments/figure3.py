@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..frameworks.models import ALEXNET, LENET, RESNET50, ModelProfile
 from ..metrics.cdf import DiscreteCDF, cdf_from_histogram, thread_usage_ratio
 from .config import ExperimentScale, HardwareProfile, figure2_scale
-from .paper import FIG3_PRISMA_MAX_THREADS, FIG3_THREAD_RATIO_RANGE
+from .paper import FIG3_PRISMA_MAX_THREADS
 from .runner import TrialResult, run_tf_trial
 
 DEFAULT_MODELS: Tuple[ModelProfile, ...] = (LENET, ALEXNET, RESNET50)
@@ -101,7 +101,3 @@ def run_figure3(
 
 def paper_max_threads(model: str) -> int:
     return FIG3_PRISMA_MAX_THREADS[model]
-
-
-def paper_ratio_range() -> Tuple[float, float]:
-    return FIG3_THREAD_RATIO_RANGE

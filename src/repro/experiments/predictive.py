@@ -297,12 +297,6 @@ class PredictiveReport:
     #: the fitted model (for JSON export)
     model: Optional[ThroughputModel] = field(default=None, repr=False)
 
-    def result_for(self, kind: str) -> PredictiveKindResult:
-        for r in self.results:
-            if r.backend_kind == kind:
-                return r
-        raise KeyError(kind)
-
     def metrics_dict(self) -> Dict[str, object]:
         """Deterministic, JSON-ready summary (the determinism-gate surface)."""
         return {

@@ -85,10 +85,6 @@ class TrainingResult:
     gpu_utilization: float = 0.0
     extras: Dict[str, object] = field(default_factory=dict)
 
-    @property
-    def epoch_times(self) -> List[float]:
-        return [e.total for e in self.epoch_stats]
-
     def mean_epoch_time(self) -> float:
         if not self.epoch_stats:
             return 0.0

@@ -10,10 +10,11 @@ control planes).  It provides:
 * :class:`Process` — generator-based cooperative processes.
 * Events: :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf`.
 * Resources: :class:`Store`, :class:`FilterStore`, :class:`KeyedStore`
-  (O(1) key-addressed buffering over a :class:`KeyedIndex`),
-  :class:`Resource`, :class:`Lock`, :class:`Container`.  Pending
-  operations are :class:`RequestEvent`\\ s with an explicit run-queue
-  state (``WAITING``/``READY``/``RUNNING``/``CANCELLED``).
+  (O(1) key-addressed buffering over a dict), :class:`KeyedIndex` (the
+  page cache's ordered map), :class:`Resource`, :class:`Lock`,
+  :class:`Container`.  Pending operations are :class:`RequestEvent`\\ s
+  with an explicit run-queue state
+  (``WAITING``/``READY``/``RUNNING``/``CANCELLED``).
 * :class:`RandomStreams` — named deterministic RNG streams.
 
 The telemetry primitives live in :mod:`repro.telemetry`.

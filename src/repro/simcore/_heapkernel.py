@@ -146,6 +146,7 @@ class HeapSimulator:
         # Replicate the old per-timeout formatted name (part of the
         # allocation cost the slot kernel removed).
         t.name = f"timeout({delay:g})"
+        self._enqueue_at(t._at, t)
         return t
 
     def process(self, generator: ProcessGenerator, name: str = "") -> HeapProcess:

@@ -59,9 +59,10 @@ class Event:
     @property
     def ok(self) -> bool:
         """True if the event triggered successfully (not failed)."""
-        if not self.triggered:
+        exception = self._exception
+        if exception is None and self._value is _PENDING:
             raise ValueError(f"{self!r} has not been triggered")
-        return self._exception is None
+        return exception is None
 
     @property
     def value(self) -> Any:
@@ -170,6 +171,8 @@ class Timeout(Event):
     The timeout only *triggers* (becomes observable via :attr:`triggered`)
     when the clock reaches it — not at construction — so condition events
     like :class:`AnyOf` see an accurate picture of which waits completed.
+    Build one with ``sim.timeout(delay)``: the constructor only sets the
+    fields, and the kernel slots the timer at ``_at``.
     """
 
     __slots__ = ("delay", "_pending_value", "_at")
@@ -189,8 +192,7 @@ class Timeout(Event):
         self.delay = delay = float(delay)
         self._pending_value = value
         #: the timestamp this timeout fires at (where ``cancel`` finds it)
-        self._at = at = sim.now + delay
-        sim._enqueue_at(at, self)
+        self._at = sim.now + delay
 
     def _process(self) -> None:
         self._value = self._pending_value

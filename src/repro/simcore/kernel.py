@@ -10,10 +10,10 @@ Scheduler layout (the hot path of every benchmark in this repository):
   immediate scheduling (``succeed``/``fail`` via ``_enqueue_now``,
   zero-delay timeouts, process bootstraps, interrupt wake-ups) appends
   here directly and never touches the heap.
-* ``_slots`` — ``time -> deque`` for strictly-future timestamps.  Events
-  scheduled at the same future time share one slot deque in scheduling
-  order, so the heap holds one entry per *distinct* timestamp instead of
-  one per event.
+* ``_slots`` — ``time -> slot`` for strictly-future timestamps.  A slot
+  is the lone event scheduled at that time, or, once a second event lands
+  on the same time, a deque of them in scheduling order; the heap holds
+  one entry per *distinct* timestamp instead of one per event.
 * ``_times`` — a binary heap of the distinct future timestamps.
 
 Determinism contract: events fire in ``(time, slot-FIFO)`` order — the
@@ -195,8 +195,9 @@ class Simulator:
         self.now: float = float(start_time)
         #: FIFO of events at the current timestamp (the active slot).
         self._now_queue: Deque[Any] = deque()
-        #: Future timestamp -> FIFO slot of its events, in scheduling order.
-        self._slots: Dict[float, Deque[Any]] = {}
+        #: Future timestamp -> its lone event, or a FIFO deque of its events
+        #: in scheduling order once a second one lands on the same time.
+        self._slots: Dict[float, Any] = {}
         #: Heap of the distinct future timestamps with a pending slot.
         self._times: List[float] = []
         self._active_process: Optional[Process] = None
@@ -226,11 +227,15 @@ class Simulator:
             self._now_queue.append(event)
             return
         event._scheduled = True
-        slot = self._slots.get(time)
+        slots = self._slots
+        slot = slots.get(time)
         if slot is None:
-            self._slots[time] = slot = deque()
+            slots[time] = event
             heapq.heappush(self._times, time)
-        slot.append(event)
+        elif slot.__class__ is deque:
+            slot.append(event)
+        else:
+            slots[time] = deque((slot, event))
 
     def _enqueue_now(self, event: Event) -> None:
         """Schedule at the current time — the no-heap immediate path."""
@@ -245,8 +250,28 @@ class Simulator:
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event triggering ``delay`` time units from now."""
-        return Timeout(self, delay, value)
+        """An event triggering ``delay`` time units from now.
+
+        The timer is slotted here rather than through :meth:`_enqueue_at`:
+        timers are the kernel's highest-volume events, and a fresh one
+        cannot be scheduled already.
+        """
+        timeout = Timeout(self, delay, value)
+        timeout._scheduled = True
+        at = timeout._at
+        if at <= self.now:
+            self._now_queue.append(timeout)
+            return timeout
+        slots = self._slots
+        slot = slots.get(at)
+        if slot is None:
+            slots[at] = timeout
+            heapq.heappush(self._times, at)
+        elif slot.__class__ is deque:
+            slot.append(timeout)
+        else:
+            slots[at] = deque((slot, timeout))
+        return timeout
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process from a generator; returns its join-event."""
@@ -297,11 +322,14 @@ class Simulator:
         if at <= self.now:
             self._now_queue.remove(timeout)
             return
-        slot = self._slots[at]
-        slot.remove(timeout)
-        if not slot:
-            # The heap keeps ``at``; the loop skips a time without a slot.
-            del self._slots[at]
+        slots = self._slots
+        slot = slots[at]
+        if slot is not timeout:
+            slot.remove(timeout)
+            if slot:
+                return
+        # The heap keeps ``at``; the loop skips a time without a slot.
+        del slots[at]
 
     # -- event loop -------------------------------------------------------------
     def peek(self) -> float:
@@ -319,16 +347,21 @@ class Simulator:
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
         q = self._now_queue
-        if not q:
+        if q:
+            event = q.popleft()
+        else:
             times = self._times
-            while not q:
+            event = None
+            while event is None:  # None: a slot emptied by cancel
                 if not times:
                     raise SchedulingError("step() on an empty event queue")
                 t = heapq.heappop(times)
-                q = self._slots.pop(t, None)  # None: a slot emptied by cancel
-            self._now_queue = q
+                event = self._slots.pop(t, None)
             self.now = t
-        q.popleft()._process()
+            if event.__class__ is deque:
+                self._now_queue = q = event
+                event = q.popleft()
+        event._process()
         self.events_processed += 1
         if self._defunct:
             raise self._defunct.pop(0)
@@ -344,10 +377,11 @@ class Simulator:
         * an :class:`Event` — run until it triggers; returns its value.
 
         One loop serves all three: it drains the current slot's FIFO, then
-        advances the clock to the next slot.  The stop time is tested only
-        when the clock advances, and the stop event after each event (a
-        local ``None`` test when there is none), so no stop condition costs
-        a call per event.
+        advances the clock to the next slot, whose lone event (most future
+        slots hold one) fires straight from the slot.  The stop time is
+        tested only when the clock advances, and the stop event after each
+        event (a local ``None`` test when there is none), so no stop
+        condition costs a call per event.
         """
         stop_event: Optional[Event] = None
         stop_time: Optional[float] = None
@@ -370,7 +404,9 @@ class Simulator:
         try:
             while True:
                 q = self._now_queue
-                if not q:
+                if q:
+                    event = q.popleft()
+                else:
                     if not times:
                         break
                     t = times[0]
@@ -378,22 +414,25 @@ class Simulator:
                         self.now = horizon
                         return None
                     pop_time(times)
-                    q = slots.pop(t, None)
-                    if q is None:
+                    event = slots.pop(t, None)
+                    if event is None:
                         continue  # a slot emptied by cancel
-                    self._now_queue = q
                     self.now = t
-                while q:
-                    q.popleft()._process()
-                    processed += 1
-                    if defunct:
-                        raise defunct.pop(0)
-                    # An event has triggered once its value is no longer
-                    # pending (fail() sets it to None beside the error).
-                    if stop_event is not None and stop_event._value is not _PENDING:
-                        return stop_event.value
-                    if self._stopping and (q or self.peek() < _INF):
-                        return None
+                    if event.__class__ is deque:
+                        self._now_queue = q = event
+                        event = q.popleft()
+                    # else a lone event: it fires straight from its slot,
+                    # ahead of whatever it schedules for now.
+                event._process()
+                processed += 1
+                if defunct:
+                    raise defunct.pop(0)
+                # An event has triggered once its value is no longer
+                # pending (fail() sets it to None beside the error).
+                if stop_event is not None and stop_event._value is not _PENDING:
+                    return stop_event.value
+                if self._stopping and (q or self.peek() < _INF):
+                    return None
         except StopSimulation:
             return None
         finally:

@@ -8,10 +8,10 @@ Provides the building blocks the storage and framework simulators need:
   against every buffered item — O(getters × items).
 * :class:`KeyedStore` — the fast path for key-addressed buffers: items
   indexed by key in a dict with per-key waiter lists, so ``put``/``get`` by
-  key are O(1).  PRISMA's prefetch buffer and the page cache ride on this.
-* :class:`KeyedIndex` — the synchronous ordered key→item map underneath
-  :class:`KeyedStore`, reusable wherever O(1) keyed lookup with FIFO/LRU
-  ordering is needed without event semantics.
+  key are O(1).  PRISMA's prefetch buffer rides on this.
+* :class:`KeyedIndex` — a synchronous ordered key→item map (the page
+  cache's), for O(1) keyed lookup with FIFO/LRU ordering without event
+  semantics.
 * :class:`Resource` — counted semaphore with FIFO queuing and usage stats.
 * :class:`Lock` — a 1-capacity resource with wait-time accounting, so
   contention (e.g., PRISMA's shared-buffer lock under many PyTorch workers)
@@ -184,7 +184,7 @@ class Store:
     # -- statistics -----------------------------------------------------------
     def _account(self) -> None:
         now = self.sim.now
-        self._area += self.level * (now - self._last_change)
+        self._area += len(self.items) * (now - self._last_change)
         self._last_change = now
 
     def mean_occupancy(self) -> float:
@@ -320,8 +320,7 @@ class FilterStore(Store):
 class KeyedIndex:
     """Synchronous, insertion-ordered ``key -> item`` map with O(1) ops.
 
-    The storage layer shared by :class:`KeyedStore` (event-based keyed
-    buffer) and the OS page-cache model: a dict for O(1) lookup plus
+    The OS page-cache model's storage: a dict for O(1) lookup plus
     ordering hooks (``touch`` for LRU recency, ``pop_oldest`` for FIFO/LRU
     eviction).  Holds exactly one item per key; re-inserting a present key
     raises :class:`~repro.simcore.errors.DuplicateKeyError`.
@@ -425,9 +424,9 @@ class KeyedStore(Store):
     This replaces :class:`FilterStore` on PRISMA's hot path.  Where the
     filter store re-evaluates every queued getter against every buffered
     item on each dispatch (O(getters × items) — quadratic across an epoch),
-    the keyed store holds items in a :class:`KeyedIndex` and parks each
-    getter on a *per-key* waiter list, so an insert wakes exactly the
-    consumers of that key.
+    the keyed store holds items in a dict, ``items`` (key -> item, oldest
+    first), and parks each getter on a *per-key* waiter list, so an insert
+    wakes exactly the consumers of that key.
 
     Semantics:
 
@@ -449,21 +448,18 @@ class KeyedStore(Store):
         super().__init__(sim, capacity, name)
         self._put_name = "kput:" + name
         self._get_name = "kget:" + name
-        self.index = KeyedIndex()
+        #: key -> buffered item, in insertion order (``level`` counts it)
+        self.items: Dict[Hashable, Any] = {}  # type: ignore[assignment]
         self._waiters: Dict[Hashable, Deque[KeyedStoreGet]] = {}
         self._any_waiters: Deque[KeyedStoreGet] = deque()
 
     # -- introspection ---------------------------------------------------------
-    @property
-    def level(self) -> int:
-        return len(self.index)
-
     def contains(self, key: Hashable) -> bool:
-        return key in self.index
+        return key in self.items
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Item buffered for ``key`` (without consuming it), else default."""
-        return self.index.get(key, default)
+        return self.items.get(key, default)
 
     def waiting(self, key: Hashable) -> int:
         """Number of getters currently parked on ``key``."""
@@ -482,29 +478,28 @@ class KeyedStore(Store):
 
     def get(self, key: Optional[Hashable] = None) -> KeyedStoreGet:  # type: ignore[override]
         event = KeyedStoreGet(self, key)
+        items = self.items
         if key is None:
-            if self.index:
+            if items:
                 self._account()
-                _, item = self.index.pop_oldest()
-                event.succeed(item)
+                event.succeed(items.pop(next(iter(items))))
                 self._dispatch()  # a slot freed: admit a queued putter
             else:
                 self._any_waiters.append(event)
+        elif key in items:
+            self._account()
+            event.succeed(items.pop(key))
+            self._dispatch()
         else:
-            if key in self.index:
-                self._account()
-                event.succeed(self.index.pop(key))
-                self._dispatch()
-            else:
-                self._waiters.setdefault(key, deque()).append(event)
+            self._waiters.setdefault(key, deque()).append(event)
         return event
 
     def discard(self, key: Hashable) -> Any:
         """Drop a buffered item without an event (invalidation hook)."""
-        if key not in self.index:
+        if key not in self.items:
             return None
         self._account()
-        item = self.index.pop(key)
+        item = self.items.pop(key)
         self._dispatch()
         return item
 
@@ -534,21 +529,28 @@ class KeyedStore(Store):
 
     # -- dispatch --------------------------------------------------------------
     def _try_put(self, event: KeyedStorePut) -> bool:  # type: ignore[override]
-        if event.key in self.index:
+        key = event.key
+        items = self.items
+        if key in items:
             # Consumed from the queue but failed: one item per key.
             event.fail(
                 DuplicateKeyError(
-                    f"put({event.key!r}) on {self.name!r}: key already buffered"
+                    f"put({key!r}) on {self.name!r}: key already buffered"
                 )
             )
             return True
-        if self.level >= self.capacity:
+        level = len(items)
+        if level >= self.capacity:
             return False
-        self._account()
-        self.index.put(event.key, event.item)
-        self.peak_items = max(self.peak_items, self.level)
+        now = self.sim.now
+        self._area += level * (now - self._last_change)
+        self._last_change = now
+        items[key] = event.item
+        level += 1
+        if level > self.peak_items:
+            self.peak_items = level
         event.succeed()
-        self._serve_waiters(event.key)
+        self._serve_waiters(key)
         return True
 
     def _serve_waiters(self, key: Hashable) -> None:
@@ -559,13 +561,13 @@ class KeyedStore(Store):
             if not waiters:
                 del self._waiters[key]
             self._account()
-            waiter.succeed(self.index.pop(key))
+            waiter.succeed(self.items.pop(key))
             return
         if self._any_waiters:
             waiter = self._any_waiters.popleft()
             self._account()
-            _, item = self.index.pop_oldest()
-            waiter.succeed(item)
+            items = self.items
+            waiter.succeed(items.pop(next(iter(items))))
 
     def _dispatch(self) -> None:
         # Waiter hand-off happens inside _try_put (an insert wakes exactly

@@ -30,11 +30,9 @@ class PageCache:
     ``capacity_bytes = 0`` produces a pass-through cache where every lookup
     misses (the default experiment configuration).
 
-    Entries live in the same O(1) keyed-index structure that backs the data
-    plane's :class:`~repro.simcore.resources.KeyedStore`: a
-    :class:`~repro.simcore.resources.KeyedIndex` gives dict-speed lookup
-    plus the LRU ordering hooks (``touch`` on hit, ``pop_oldest`` to
-    evict).
+    Entries live in a :class:`~repro.simcore.resources.KeyedIndex`:
+    dict-speed lookup plus the LRU ordering hooks (``touch`` on hit,
+    ``pop_oldest`` to evict).
     """
 
     #: Copy rate for cache hits (bytes/s) — DDR4 single-stream memcpy class.

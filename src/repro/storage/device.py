@@ -107,10 +107,6 @@ class DeviceProfile:
     def effective_sequential_bandwidth(self) -> float:
         return self.sequential_read_bandwidth or self.max_read_bandwidth
 
-    def single_stream_read_bandwidth(self) -> float:
-        """Rate one lone reader gets from the fluid pool (before latency)."""
-        return self.max_read_bandwidth / (1.0 + self.read_kappa)
-
     def effective_read_throughput(self, request_bytes: float, concurrency: int = 1) -> float:
         """Analytic per-stream throughput including request latency.
 
@@ -433,14 +429,6 @@ class BlockDevice:
         self.degrade_reads(1.0)
 
     # -- observability ------------------------------------------------------------
-    @property
-    def active_reads(self) -> int:
-        return self._read_channel.active_count
-
-    @property
-    def read_concurrency_gauge(self):
-        return self._read_channel.concurrency
-
     def bytes_read(self) -> float:
         return self._read_channel.bytes_served + self._seq_read_channel.bytes_served
 

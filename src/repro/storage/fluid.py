@@ -17,12 +17,21 @@ The implementation is event-driven and exact for piecewise-constant
 concurrency: on every arrival/departure the remaining work of all transfers
 is advanced and the next completion re-scheduled.  Cost is O(active) per
 event, which is fine at the tens-of-streams scale of these experiments.
+
+The arithmetic is a contract (DESIGN §4): each transfer advances by
+``remaining - rate * (weight / total_w) * dt``, floored at 0 as
+``max(x, 0.0)`` floors it, and the next completion is the first minimum
+of ``remaining / (rate * weight / total_w)``, both in active-set order;
+``total_w`` is ``sum`` over the active weights, and ``B(k)`` is memoised
+per curve.  Every completion time is therefore the same float as the
+straightforward per-use evaluation gives.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..simcore.errors import SimulationError
@@ -34,6 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Remaining-bytes tolerance below which a transfer counts as complete.
 _EPSILON = 1e-6
+
+_INF = float("inf")
+#: The total weight is Python's own ``sum`` over the active weights (with no
+#: Python frame per weight): a plain ``+=`` loop would round differently
+#: from ``sum`` on 3.12, which compensates float sums.
+_weight_of = attrgetter("weight")
 
 
 def saturating_capacity(max_rate: float, kappa: float) -> Callable[[int], float]:
@@ -100,8 +115,9 @@ class FairShareChannel:
     capacity_fn:
         Maps the number of active transfers ``k`` to the aggregate service
         rate in bytes/second.  Must be non-decreasing in ``k``, and pure in
-        ``k``: the channel computes ``B(k)`` and the total weight once per
-        change of the active set (or of the curve), not per use.
+        ``k``: the channel calls it once per ``k`` per curve (swap curves
+        with :meth:`set_capacity_fn`), and computes the total weight once
+        per change of the active set.
     max_concurrency:
         Transfers beyond this limit queue FIFO (models a device queue-depth
         or server thread-pool cap).
@@ -128,6 +144,8 @@ class FairShareChannel:
         #: B(k) and the total weight of the current active set
         self._rate = 0.0
         self._total_w = 0.0
+        #: k -> B(k) of the current curve
+        self._rates: Dict[int, float] = {}
         #: the pending completion timer (cancelled when superseded)
         self._timer: Optional[Timeout] = None
         #: observable concurrency gauge (drives utilization plots)
@@ -159,17 +177,20 @@ class FairShareChannel:
             raise ValueError("nbytes must be non-negative")
         if weight <= 0:
             raise ValueError("weight must be positive")
+        sim = self.sim
         if event is None:
-            event = Event(self.sim, name=self._event_name)
+            event = Event(sim, name=self._event_name)
         if nbytes == 0:
             event.succeed(elapsed if value is None else value)
             return event
         entry = _ActiveTransfer(
-            next(self._ids), float(nbytes), float(weight), event, self.sim.now, elapsed, value
+            next(self._ids), float(nbytes), float(weight), event, sim.now, elapsed, value
         )
         self._advance()
-        if len(self._active) < self.max_concurrency:
-            self._admit(entry)
+        active = self._active
+        if len(active) < self.max_concurrency:
+            active[entry.ident] = entry
+            self._active_changed()
         else:
             self._pending.append(entry)
         self._reschedule()
@@ -184,6 +205,7 @@ class FairShareChannel:
         """
         self._advance()
         self.capacity_fn = capacity_fn
+        self._rates.clear()
         self._active_changed()
         self._reschedule()
 
@@ -191,27 +213,20 @@ class FairShareChannel:
     def active_count(self) -> int:
         return len(self._active)
 
-    @property
-    def queued_count(self) -> int:
-        return len(self._pending)
-
-    def current_aggregate_rate(self) -> float:
-        return self._rate
-
     # -- internals --------------------------------------------------------------
     def _active_changed(self) -> None:
         """Recompute B(k) and the total weight for the current active set."""
         active = self._active
-        self.concurrency.set(len(active))
+        k = len(active)
+        self.concurrency.set(k)
         if active:
-            self._rate = self.capacity_fn(len(active))
-            self._total_w = sum(t.weight for t in active.values())
+            rate = self._rates.get(k)
+            if rate is None:
+                rate = self._rates[k] = self.capacity_fn(k)
+            self._rate = rate
+            self._total_w = sum(map(_weight_of, active.values()))
         else:
             self._rate = self._total_w = 0.0
-
-    def _admit(self, entry: _ActiveTransfer) -> None:
-        self._active[entry.ident] = entry
-        self._active_changed()
 
     def _advance(self) -> None:
         """Progress all active transfers from ``_last_update`` to now."""
@@ -225,24 +240,8 @@ class FairShareChannel:
         if total_w <= 0:
             return
         for entry in self._active.values():
-            served = rate * (entry.weight / total_w) * dt
-            entry.remaining = max(entry.remaining - served, 0.0)
-
-    def _complete_finished(self) -> None:
-        finished = [t for t in self._active.values() if t.remaining <= _EPSILON]
-        for entry in finished:
-            del self._active[entry.ident]
-            self.bytes_served += entry.nbytes
-            self.transfers_completed += 1
-            value = entry.value
-            if value is None:
-                value = entry.elapsed + (self.sim.now - entry.started_at)
-            entry.event.succeed(value)
-        if finished:
-            while self._pending and len(self._active) < self.max_concurrency:
-                entry = self._pending.pop(0)
-                self._active[entry.ident] = entry
-            self._active_changed()
+            remaining = entry.remaining - rate * (entry.weight / total_w) * dt
+            entry.remaining = 0.0 if remaining < 0.0 else remaining
 
     def _reschedule(self) -> None:
         """(Re)arm the completion timer for the earliest-finishing transfer.
@@ -260,20 +259,40 @@ class FairShareChannel:
         if rate <= 0:
             raise SimulationError(f"channel {self.name!r} has zero rate with active transfers")
         total_w = self._total_w
-        horizon = min(
-            t.remaining / (rate * t.weight / total_w) for t in self._active.values()
-        )
+        horizon = _INF
+        for entry in self._active.values():
+            until_done = entry.remaining / (rate * entry.weight / total_w)
+            if until_done < horizon:
+                horizon = until_done
         # Clamp to a few ULPs of the clock: a sub-ULP horizon (a byte-scale
         # residual on a multi-GB/s channel) would re-arm at the *same*
         # simulated instant forever.  Over-shooting is harmless — _advance
         # floors remaining at zero.
         min_step = 4.0 * math.ulp(max(sim.now, 1e-9))
-        self._timer = timer = sim.timeout(max(horizon, min_step))
+        self._timer = timer = sim.timeout(min_step if min_step > horizon else horizon)
         timer.add_callback(self._on_timer)
 
     def _on_timer(self, _ev: Event) -> None:
+        """Settle every finished transfer, admit queued ones, re-arm."""
+        self._timer = None  # it fired: nothing left to cancel
         self._advance()
-        self._complete_finished()
+        active = self._active
+        finished = [entry for entry in active.values() if entry.remaining <= _EPSILON]
+        if finished:
+            now = self.sim.now
+            for entry in finished:
+                del active[entry.ident]
+                self.bytes_served += entry.nbytes
+                self.transfers_completed += 1
+                value = entry.value
+                if value is None:
+                    value = entry.elapsed + (now - entry.started_at)
+                entry.event.succeed(value)
+            pending = self._pending
+            while pending and len(active) < self.max_concurrency:
+                entry = pending.pop(0)
+                active[entry.ident] = entry
+            self._active_changed()
         self._reschedule()
 
     def __repr__(self) -> str:

@@ -69,10 +69,6 @@ class ObjectStoreProfile:
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
 
-    def single_stream_bandwidth(self) -> float:
-        """Rate one lone request streams at (before latency)."""
-        return self.aggregate_bandwidth / (1.0 + self.kappa)
-
 
 def s3_like() -> ObjectStoreProfile:
     """A standard-tier regional object store.

@@ -120,10 +120,12 @@ class PosixLayer(PosixLike):
         return chain_result(inner, done, advance)
 
     def read_whole(self, path: str) -> Event:
-        """Convenience: open + read-to-EOF + close as one event."""
-        fd = self.open(path)
-        size = self.fstat_size(fd)
-        read = self.pread(fd, size, 0)
-        # Callbacks run in registration order: closed before any caller's.
-        read.add_callback(lambda ev: self.close(fd))
-        return read
+        """The whole file as one read: the backend's ``read(path, 0, None)``.
+
+        What ``open`` + ``pread`` of the whole size + ``close`` would do,
+        without the descriptor: the backend looks the file up once (a
+        missing path raises :class:`~repro.storage.filesystem.FileNotFound`
+        here, as ``open`` would) and reads to EOF; the event's value is the
+        file's size in bytes.
+        """
+        return self.fs.read(path, 0, None)

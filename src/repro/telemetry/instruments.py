@@ -39,19 +39,46 @@ class TimeWeightedGauge:
     def value(self) -> float:
         return self._value
 
+    # set, increment and decrement run on every activity change of the
+    # data plane, so each flushes the finished segment inline (the same
+    # arithmetic as _flush) instead of chaining through set and _flush.
     def set(self, value: float) -> None:
-        now = self.sim.now
-        if value == self._value:
+        old = self._value
+        if value == old:
             return
-        self._flush(now)
+        now = self.sim.now
+        duration = now - self._since
+        if duration > 0:
+            time_at = self._time_at
+            time_at[old] = time_at.get(old, 0.0) + duration
         self._value = float(value)
         self._since = now
 
     def increment(self, delta: float = 1.0) -> None:
-        self.set(self._value + delta)
+        old = self._value
+        value = old + delta
+        if value == old:
+            return
+        now = self.sim.now
+        duration = now - self._since
+        if duration > 0:
+            time_at = self._time_at
+            time_at[old] = time_at.get(old, 0.0) + duration
+        self._value = float(value)
+        self._since = now
 
     def decrement(self, delta: float = 1.0) -> None:
-        self.set(self._value - delta)
+        old = self._value
+        value = old - delta
+        if value == old:
+            return
+        now = self.sim.now
+        duration = now - self._since
+        if duration > 0:
+            time_at = self._time_at
+            time_at[old] = time_at.get(old, 0.0) + duration
+        self._value = float(value)
+        self._since = now
 
     def _flush(self, now: float) -> None:
         duration = now - self._since

@@ -12,7 +12,7 @@ per observation, never a lookup by name.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 _LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -52,9 +52,6 @@ class Gauge:
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -163,10 +160,6 @@ class MetricsRegistry:
 
     def __iter__(self) -> Iterator[object]:
         return iter(self._instruments.values())
-
-    def get(self, kind: str, name: str, **labels: object) -> Optional[object]:
-        """Look up an existing instrument without creating it."""
-        return self._instruments.get((kind, name, _label_key(labels)))
 
     def collect(self) -> List[Dict[str, object]]:
         """Deterministic flat dump of every instrument's current state."""

@@ -276,6 +276,135 @@ def test_deferred_trigger_ordering_matches_heap_kernel(plans):
     assert_equivalent(build)
 
 
+# ---------------------------------------------------------------- lone-event slots
+# A future timestamp that holds one event keeps the event itself in
+# ``Simulator._slots``; a deque is made only when a second event lands on
+# the same time.  Each case runs on both kernels and must log the same.
+def withdraw(sim, timer, muted):
+    """Cancel ``timer`` on the slot kernel.  The heap kernel cannot cancel,
+    so there the timer stays and its callback is muted, which is what a
+    cancel must be equivalent to."""
+    if isinstance(sim, Simulator):
+        sim.cancel(timer)
+    else:
+        muted.add(timer)
+
+
+def timer_logger(sim, log, muted):
+    def arm(delay, label):
+        timer = sim.timeout(delay)
+        timer.add_callback(lambda ev: ev in muted or log.append((label, sim.now)))
+        return timer
+
+    return arm
+
+
+def run_on_both(build, drive=lambda sim: sim.run()):
+    """``build(sim, log, muted)`` then ``drive(sim)`` on each kernel;
+    returns the two logs and simulators, slot kernel first."""
+    results = []
+    for kernel in KERNELS:
+        sim, log, muted = kernel(), [], set()
+        build(sim, log, muted)
+        drive(sim)
+        log.append(("end", sim.now))
+        results.append((log, sim))
+    (slot_log, slot_sim), (heap_log, heap_sim) = results
+    assert slot_log == heap_log
+    return slot_log, slot_sim, heap_sim
+
+
+def test_cancel_a_timer_alone_in_its_slot():
+    def build(sim, log, muted):
+        arm = timer_logger(sim, log, muted)
+        lone = arm(1.0, "lone")
+        sim.timeout(0.5).add_callback(lambda _ev: withdraw(sim, lone, muted))
+        arm(2.0, "later")
+
+    log, slot_sim, heap_sim = run_on_both(build)
+    assert log == [("later", 2.0), ("end", 2.0)]
+    # The cancelled timer left its slot: it costs no kernel event.
+    assert 1.0 not in slot_sim._slots
+    assert slot_sim.events_processed == heap_sim.events_processed - 1
+
+
+def test_cancel_one_of_two_timers_sharing_a_slot():
+    for cancelled in (0, 1):
+
+        def build(sim, log, muted):
+            arm = timer_logger(sim, log, muted)
+            pair = [arm(1.0, "first"), arm(1.0, "second")]
+            sim.timeout(0.5).add_callback(
+                lambda _ev: withdraw(sim, pair[cancelled], muted)
+            )
+            # Scheduled after the cancel: it queues behind the survivor.
+            sim.timeout(0.75).add_callback(lambda _ev: arm(0.25, "third"))
+
+        log, slot_sim, heap_sim = run_on_both(build)
+        survivor = "second" if cancelled == 0 else "first"
+        assert log == [(survivor, 1.0), ("third", 1.0), ("end", 1.0)]
+        assert slot_sim.events_processed == heap_sim.events_processed - 1
+
+
+def test_step_across_a_lone_event_slot():
+    def build(sim, log, muted):
+        arm = timer_logger(sim, log, muted)
+        lone = sim.timeout(1.0)
+        # The lone event schedules one event for now and one for later.
+        lone.add_callback(lambda _ev: log.append(("lone", sim.now)))
+        lone.add_callback(lambda _ev: arm(0.0, "now"))
+        lone.add_callback(lambda _ev: arm(1.0, "later"))
+        arm(3.0, "pair-a")
+        arm(3.0, "pair-b")
+
+    def drive(sim):
+        while sim.peek() < float("inf"):
+            sim.step()
+
+    log, _, _ = run_on_both(build, drive)
+    assert log == [
+        ("lone", 1.0), ("now", 1.0), ("later", 2.0),
+        ("pair-a", 3.0), ("pair-b", 3.0), ("end", 3.0),
+    ]
+
+
+@pytest.mark.parametrize("later_events", [False, True])
+def test_stop_from_a_lone_event_callback(later_events):
+    def build(sim, log, muted):
+        arm = timer_logger(sim, log, muted)
+        lone = sim.timeout(1.0)
+        lone.add_callback(lambda _ev: log.append(("stop", sim.now)))
+        lone.add_callback(lambda _ev: sim.stop())
+        if later_events:
+            arm(2.0, "later")
+
+    stopped_at = []
+
+    def drive(sim):
+        sim.run()
+        stopped_at.append(sim.now)
+        sim.run()
+
+    log, _, _ = run_on_both(build, drive)
+    assert stopped_at == [1.0, 1.0]
+    expected = [("stop", 1.0)] + ([("later", 2.0)] if later_events else [])
+    assert log == expected + [("end", 2.0 if later_events else 1.0)]
+
+
+def test_succeed_from_a_lone_event_fires_before_the_next_timestamp():
+    def build(sim, log, muted):
+        arm = timer_logger(sim, log, muted)
+        relay = sim.event()
+        relay.add_callback(lambda ev: log.append(("succeeded", sim.now, ev.value)))
+        lone = sim.timeout(1.0)
+        lone.add_callback(lambda _ev: relay.succeed("v"))
+        lone.add_callback(lambda _ev: log.append(("lone", sim.now)))
+        arm(1.5, "next")
+
+    log, _, _ = run_on_both(build)
+    assert log == [("lone", 1.0), ("succeeded", 1.0, "v"), ("next", 1.5), ("end", 1.5)]
+
+
 # ---------------------------------------------------------------- invariants
 def test_same_time_fifo_interleaves_prescheduled_and_immediate():
     """Events landing at t via the heap and via succeed() share one FIFO."""

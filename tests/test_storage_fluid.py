@@ -1,9 +1,13 @@
 """Unit tests for the fair-share fluid bandwidth channel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simcore import Simulator
 from repro.storage import FairShareChannel, constant_capacity, saturating_capacity
+
+from .fluid_reference import ReferenceFairShareChannel
 
 
 def run_transfers(channel, sim, specs):
@@ -160,3 +164,78 @@ def test_throughput_matches_analytic_model():
         simulated = n_files * fsize / sim.now
         predicted = prof.effective_read_throughput(fsize, k) * k
         assert simulated == pytest.approx(predicted, rel=0.02)
+
+
+# ---------------------------------------------------------------- bit-exact oracle
+# Arrival times on a coarse grid, so transfers often start together and
+# completions coincide with arrivals.
+arrival_grid = st.integers(min_value=0, max_value=12).map(lambda n: n * 0.25)
+sizes = st.floats(min_value=1.0, max_value=5e3, allow_nan=False, allow_infinity=False)
+mixed_weights = st.sampled_from([0.3, 0.5, 1.0, 1.7, 2.0, 3.0])
+
+
+@st.composite
+def fluid_schedules(draw):
+    # Every production caller passes weight 1.0; half the schedules mix.
+    weights = mixed_weights if draw(st.booleans()) else st.just(1.0)
+    transfers = draw(
+        st.lists(
+            st.tuples(
+                arrival_grid,
+                sizes,
+                weights,
+                st.sampled_from([0.0, 1e-4]),  # a device's submission latency
+            ),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    curves = st.tuples(
+        st.floats(min_value=50.0, max_value=2e3), st.floats(min_value=0.0, max_value=4.0)
+    )
+    return {
+        "transfers": transfers,
+        "max_concurrency": draw(st.integers(min_value=1, max_value=4)),
+        "curve": draw(curves),
+        # A mid-run swap of the rate curve: at this time, to this curve.
+        "swap": draw(st.one_of(st.none(), st.tuples(arrival_grid, curves))),
+    }
+
+
+def run_fluid_schedule(channel_cls, schedule):
+    """Drive one schedule through a fresh channel; everything it produced."""
+    sim = Simulator()
+    channel = channel_cls(
+        sim, saturating_capacity(*schedule["curve"]), max_concurrency=schedule["max_concurrency"]
+    )
+    settled = []
+
+    def start(tag, nbytes, weight, elapsed):
+        event = channel.transfer(nbytes, weight, elapsed=elapsed)
+        event.add_callback(lambda ev: settled.append((tag, sim.now, ev.value)))
+
+    for tag, (at, nbytes, weight, elapsed) in enumerate(schedule["transfers"]):
+        sim.at(at, start, tag, nbytes, weight, elapsed)
+    if schedule["swap"] is not None:
+        at, curve = schedule["swap"]
+        sim.at(at, channel.set_capacity_fn, saturating_capacity(*curve))
+    sim.run()
+    return {
+        "settled": settled,
+        "end": sim.now,
+        "bytes_served": channel.bytes_served,
+        "transfers_completed": channel.transfers_completed,
+        "concurrency": channel.concurrency.histogram(),
+    }
+
+
+@given(fluid_schedules())
+@settings(max_examples=150)
+def test_channel_matches_the_per_use_reference_bit_for_bit(schedule):
+    """The trimmed channel (memoised ``B(k)``, no generator expressions)
+    gives the same floats as the per-use arithmetic: completion times,
+    event values, bytes served and the concurrency histogram, with ``==``."""
+    fast = run_fluid_schedule(FairShareChannel, schedule)
+    reference = run_fluid_schedule(ReferenceFairShareChannel, schedule)
+    assert fast == reference
+    assert len(fast["settled"]) == len(schedule["transfers"])

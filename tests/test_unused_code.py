@@ -1,0 +1,68 @@
+"""Every function and method the package defines is used somewhere.
+
+The scan reads each ``def`` under ``src/repro`` and counts how often its
+name is written anywhere in the package, the tests, the benchmarks, the
+examples or the docs (README, DESIGN, EXPERIMENTS and the benchmark
+suite's README).  A name written no more often than it is defined has no
+caller and no reader: it is dead, and goes.  Dunders are reached by the
+interpreter, not by name, and are skipped.
+
+The change logs (CHANGES, ROADMAP) do not count: they name deleted code.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "repro"
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "benchmarks/suite/README.md")
+
+#: Names the scan may flag and that stay: protocol methods that no caller
+#: in the repository reaches yet, and names reached only through a string
+#: (``getattr``, a registry key).  Each entry says why it stays.
+ALLOWED = {}
+
+
+def package_definitions():
+    """``(name, path)`` of every function and method under ``src/repro``."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node.name, path
+
+
+def written_names():
+    """How often each identifier is written, outside this file."""
+    files = [
+        path
+        for top in ("src", "tests", "benchmarks", "examples")
+        for path in (ROOT / top).rglob("*.py")
+        if path.resolve() != Path(__file__).resolve()
+    ]
+    files += [ROOT / doc for doc in DOCS]
+    words = Counter()
+    for path in files:
+        words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    return words
+
+
+def unused_definitions():
+    definitions = list(package_definitions())
+    defined = Counter(name for name, _ in definitions)
+    words = written_names()
+    return {
+        name: str(path.relative_to(ROOT))
+        for name, path in definitions
+        if not (name.startswith("__") and name.endswith("__"))
+        and words[name] <= defined[name]
+    }
+
+
+def test_every_function_the_package_defines_is_used():
+    unused = unused_definitions()
+    dead = {name: path for name, path in unused.items() if name not in ALLOWED}
+    assert dead == {}, f"defined but never used (delete, or allow with a reason): {dead}"
+    # An allowed name that found a caller, or was deleted, leaves the list.
+    assert set(ALLOWED) <= set(unused)
