@@ -1045,9 +1045,13 @@ ROWS = [
     }),
     Row("telemetry", telemetry, report="BENCH_telemetry.json", checks={
         # The baseline is a wall time recorded on another machine, so this
-        # holds only where that machine's speed is matched; CI omits the row.
+        # holds only where that machine's speed is matched.
         "disabled median within 5% of the committed baseline wall time":
             lambda v: v["disabled_median_s"] / v["committed"]["pre_pr_baseline_s"] <= 1.05,
+        # Both medians come from this process, so the ratio holds on any
+        # machine: 1.62 committed, 2.16-2.22 on a 2-vCPU container.
+        "enabled median at most 3x the disabled one":
+            lambda v: v["enabled_median_s"] / v["disabled_median_s"] <= 3.0,
     }),
     Row("micro", micro, checks={
         "50k timeouts advance the clock": lambda v: v["timeouts_clock"] == 50_000.0,

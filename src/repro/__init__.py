@@ -30,54 +30,31 @@ Quickstart::
     print(quick_demo())
 """
 
-from .cluster import ClusterConfig, ClusterMount, ClusterNode, ClusterStore, ShardMap
-from .core import (
-    ClairvoyantTieringObject,
-    Controller,
-    DegradedModePolicy,
-    LookaheadSchedule,
-    ParallelPrefetcher,
-    PredictivePolicy,
-    PrismaAutotunePolicy,
-    PrismaConfig,
-    PrismaStage,
-    StaticPolicy,
-    TieringConfig,
-    TieringObject,
-    build_prisma,
-)
-from .faults import FaultEvent, FaultInjector, FaultPlan
-from .simcore import RandomStreams, Simulator
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ClairvoyantTieringObject",
-    "ClusterConfig",
-    "ClusterMount",
-    "ClusterNode",
-    "ClusterStore",
-    "Controller",
-    "DegradedModePolicy",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "LookaheadSchedule",
-    "ParallelPrefetcher",
-    "PredictivePolicy",
-    "PrismaAutotunePolicy",
-    "PrismaConfig",
-    "PrismaStage",
-    "RandomStreams",
-    "ShardMap",
-    "Simulator",
-    "StaticPolicy",
-    "TieringConfig",
-    "TieringObject",
-    "__version__",
-    "build_prisma",
-    "quick_demo",
-]
+# Lazy, so that ``import repro.core.live`` loads no simulator through here.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cluster": ["ClusterConfig", "ClusterMount", "ClusterNode", "ClusterStore", "ShardMap"],
+    ".core": [
+        "ClairvoyantTieringObject",
+        "Controller",
+        "DegradedModePolicy",
+        "LookaheadSchedule",
+        "ParallelPrefetcher",
+        "PredictivePolicy",
+        "PrismaAutotunePolicy",
+        "PrismaConfig",
+        "PrismaStage",
+        "StaticPolicy",
+        "TieringConfig",
+        "TieringObject",
+        "build_prisma",
+    ],
+    ".faults": ["FaultEvent", "FaultInjector", "FaultPlan"],
+    ".simcore": ["RandomStreams", "Simulator"],
+}, own=["__version__", "quick_demo"])
 
 
 def quick_demo() -> str:
@@ -86,12 +63,14 @@ def quick_demo() -> str:
     Uses a CI-sized dataset so it completes in well under a second — see
     ``examples/quickstart.py`` for the narrated version.
     """
+    from .core import PrismaConfig, build_prisma
     from .core.integrations import PrismaTensorFlowPipeline
     from .dataset.shuffle import EpochShuffler
     from .dataset.synthetic import tiny_dataset
     from .frameworks.models import LENET, GpuEnsemble
     from .frameworks.tensorflow.pipeline import tf_baseline
     from .frameworks.training import Trainer, TrainingConfig
+    from .simcore import RandomStreams, Simulator
     from .storage.backend import BackendConfig, build_backend
     from .storage.posix import PosixLayer
 

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
-from ..core.control.rpc import ControlChannel, RetryPolicy, RpcError
+from ..core.control.retry import RetryPolicy, RpcError
+from ..core.control.rpc import ControlChannel
 from ..core.tiering import TieringObject
 from ..simcore.errors import process_error
 from ..simcore.event import Event, chain_result

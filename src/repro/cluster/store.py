@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from ..core.control.rpc import REMOTE_LATENCY, ControlChannel, RetryPolicy
+from ..core.control.retry import RetryPolicy
+from ..core.control.rpc import REMOTE_LATENCY, ControlChannel
 from ..simcore.event import Event
 from ..storage.device import PROFILES, BlockDevice
 from ..storage.filesystem import Filesystem

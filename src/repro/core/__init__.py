@@ -8,223 +8,41 @@ chiefly the :class:`ParallelPrefetcher`), the control plane
 
 :func:`build_prisma` wires a complete SDS stack in one call; it is
 configured with a typed :class:`PrismaConfig`.
+
+Every name below is exported lazily: importing this package imports none
+of its submodules, so the live plane (:mod:`repro.core.live`) loads
+without the simulator.
 """
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Tuple
+from .._lazy import lazy_exports
 
-from ..storage.backend import BackendConfig, build_backend
-
-from .buffer import PrefetchBuffer
-from .control import (
-    AutotuneParams,
-    ControlChannel,
-    Controller,
-    ControlPolicy,
-    DegradedModeParams,
-    DegradedModePolicy,
-    MetricsHistory,
-    PredictiveParams,
-    PredictivePolicy,
-    PrismaAutotunePolicy,
-    RetryPolicy,
-    RpcApplicationError,
-    RpcError,
-    RpcRetriesExhausted,
-    RpcTimeout,
-    RpcTransportError,
-    StaticPolicy,
-)
-from .filename_queue import FilenameQueue, _validate_lookahead
-from .optimization import MetricsSnapshot, OptimizationObject, TuningSettings
-from .prefetcher import ParallelPrefetcher
-from .schedule import NEVER, LookaheadSchedule
-from .shared import SharedDatasetPrefetcher
-from .stage import PrismaStage
-from .tiering import ClairvoyantTieringObject, TieringConfig, TieringObject
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..simcore.kernel import Simulator
-    from ..storage.posix import PosixLike
-
-__all__ = [
-    "AutotuneParams",
-    "ClairvoyantTieringObject",
-    "ControlChannel",
-    "ControlPolicy",
-    "Controller",
-    "DegradedModeParams",
-    "DegradedModePolicy",
-    "FilenameQueue",
-    "LookaheadSchedule",
-    "MetricsHistory",
-    "MetricsSnapshot",
-    "NEVER",
-    "OptimizationObject",
-    "ParallelPrefetcher",
-    "PrefetchBuffer",
-    "PredictiveParams",
-    "PredictivePolicy",
-    "PrismaAutotunePolicy",
-    "PrismaStage",
-    "RetryPolicy",
-    "RpcApplicationError",
-    "RpcError",
-    "RpcRetriesExhausted",
-    "RpcTimeout",
-    "RpcTransportError",
-    "SharedDatasetPrefetcher",
-    "PrismaConfig",
-    "StaticPolicy",
-    "TieringConfig",
-    "TieringObject",
-    "TuningSettings",
-    "build_prisma",
-]
-
-
-@dataclass(frozen=True)
-class PrismaConfig:
-    """Typed configuration for :func:`build_prisma`.
-
-    One value object instead of a drift-prone keyword list: experiments
-    construct a config once, ``dataclasses.replace`` it per trial, and the
-    same object can be logged next to the results it produced.
-    """
-
-    #: control-loop period in simulated seconds (experiments scale it with
-    #: the dataset so decisions-per-epoch match an unscaled deployment)
-    control_period: float = 0.05
-    #: control policy; ``None`` selects a fresh :class:`PrismaAutotunePolicy`
-    policy: Optional[ControlPolicy] = None
-    #: initial producer threads *t*
-    producers: int = 2
-    #: initial buffer capacity *N* (samples)
-    buffer_capacity: int = 256
-    #: hard ceiling the control plane may never push *t* beyond
-    max_producers: int = 8
-    #: component-name prefix (``<name>.stage``, ``<name>.prefetch``, …)
-    name: str = "prisma"
-    #: epochs past the live one the prefetcher may fetch ahead (0 = off;
-    #: takes effect once a :class:`LookaheadSchedule` is installed)
-    lookahead_epochs: int = 0
-    #: optional node-local fast tier between the buffer and the backend
-    tiering: Optional[TieringConfig] = None
-    #: optional storage-backend spec; when set, :func:`build_prisma` builds
-    #: the backend itself (POSIX filesystem or object store) instead of
-    #: being handed one — the config fully describes the deployment
-    backend: Optional[BackendConfig] = None
-
-    def __post_init__(self) -> None:
-        if self.control_period <= 0:
-            raise ValueError("control_period must be positive")
-        if self.producers < 1:
-            raise ValueError("producers must be >= 1")
-        if self.buffer_capacity < 1:
-            raise ValueError("buffer_capacity must be >= 1")
-        if self.max_producers < self.producers:
-            raise ValueError("max_producers must be >= producers")
-        _validate_lookahead(self.lookahead_epochs)
-        if self.tiering is not None and not isinstance(self.tiering, TieringConfig):
-            raise ValueError(
-                f"tiering must be a TieringConfig, got {type(self.tiering).__name__}"
-            )
-        if self.backend is not None and not isinstance(self.backend, BackendConfig):
-            raise ValueError(
-                f"backend must be a BackendConfig, got {type(self.backend).__name__}"
-            )
-
-    def with_overrides(self, **overrides) -> "PrismaConfig":
-        """A copy with the given fields replaced (sugar over ``replace``)."""
-        return replace(self, **overrides)
-
-
-def build_prisma(
-    sim: "Simulator",
-    backend: Optional["PosixLike"] = None,
-    config: Optional[PrismaConfig] = None,
-) -> Tuple[PrismaStage, ParallelPrefetcher, Controller]:
-    """Assemble a complete PRISMA stack over ``backend``.
-
-    Returns ``(stage, prefetcher, controller)``; the controller is already
-    started.  ``backend`` may be any :class:`~repro.storage.posix.PosixLike`
-    built by the caller, **or** omitted when ``config.backend`` carries a
-    :class:`~repro.storage.backend.BackendConfig` — then the storage stack
-    (POSIX filesystem or object store, per ``kind``) is constructed here
-    and wrapped in a :class:`~repro.storage.posix.PosixLayer`; the built
-    backend is reachable as ``stage.backend.fs``.  All tuning comes in as
-    a :class:`PrismaConfig`.
-    """
-    if config is None:
-        config = PrismaConfig()
-    if config.backend is not None:
-        if backend is not None:
-            raise ValueError(
-                "pass either a backend instance or PrismaConfig.backend, not both"
-            )
-        from ..storage.posix import PosixLayer
-
-        backend = PosixLayer(sim, build_backend(sim, config.backend))
-    elif backend is None:
-        raise ValueError(
-            "build_prisma needs a backend: pass one, or set PrismaConfig.backend"
-        )
-    tiering = None
-    prefetch_backend = backend
-    if config.tiering is not None:
-        from ..storage.device import PROFILES, BlockDevice
-        from ..storage.filesystem import Filesystem
-
-        tcfg = config.tiering
-        if tcfg.backing_capacity_bytes is None:
-            # No declared backing size: measure the backend we were handed.
-            fs = getattr(backend, "fs", None)
-            total = fs.total_bytes() if fs is not None else 0
-            if total > 0 and tcfg.fast_capacity_bytes >= total:
-                raise ValueError(
-                    f"fast tier ({tcfg.fast_capacity_bytes} B) holds the entire "
-                    f"backing store ({total} B); tiering would be a no-op — "
-                    "shrink fast_capacity_bytes or drop the tiering config"
-                )
-        fast_fs = Filesystem(
-            sim,
-            BlockDevice(sim, PROFILES[tcfg.fast_profile]()),
-            name=f"{config.name}.fast",
-        )
-        if tcfg.clairvoyant:
-            tiering = ClairvoyantTieringObject(
-                sim, backend, fast_fs, tcfg.fast_capacity_bytes,
-                name=f"{config.name}.tiering",
-            )
-        else:
-            tiering = TieringObject(
-                sim, backend, fast_fs, tcfg.fast_capacity_bytes,
-                promote_after=tcfg.promote_after, name=f"{config.name}.tiering",
-            )
-        # The hierarchy: RAM buffer (prefetcher) → fast tier → backing FS.
-        prefetch_backend = tiering
-    prefetcher = ParallelPrefetcher(
-        sim,
-        prefetch_backend,
-        producers=config.producers,
-        buffer_capacity=config.buffer_capacity,
-        max_producers=config.max_producers,
-        lookahead_epochs=config.lookahead_epochs,
-        name=f"{config.name}.prefetch",
-    )
-    optimizations = [prefetcher] if tiering is None else [prefetcher, tiering]
-    stage = PrismaStage(sim, backend, optimizations, name=f"{config.name}.stage")
-    stage.tiering = tiering
-    # Label the stage with its workload features so control.decision
-    # telemetry is self-describing performance-model training data; the
-    # framework integration adds batch_size when it binds.
-    stage.feature_labels["backend_kind"] = (
-        config.backend.kind if config.backend is not None else "posix"
-    )
-    stage.feature_labels["lookahead_epochs"] = config.lookahead_epochs
-    controller = Controller(
-        sim, period=config.control_period, name=f"{config.name}.controller"
-    )
-    controller.register(stage, config.policy or PrismaAutotunePolicy())
-    controller.start()
-    return stage, prefetcher, controller
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".buffer": ["PrefetchBuffer"],
+    ".builder": ["PrismaConfig", "build_prisma"],
+    ".control": [
+        "AutotuneParams",
+        "ControlChannel",
+        "ControlPolicy",
+        "Controller",
+        "DegradedModeParams",
+        "DegradedModePolicy",
+        "MetricsHistory",
+        "PredictiveParams",
+        "PredictivePolicy",
+        "PrismaAutotunePolicy",
+        "RetryPolicy",
+        "RpcApplicationError",
+        "RpcError",
+        "RpcRetriesExhausted",
+        "RpcTimeout",
+        "RpcTransportError",
+        "StaticPolicy",
+    ],
+    ".filename_queue": ["FilenameQueue"],
+    ".optimization": ["MetricsSnapshot", "OptimizationObject", "TuningSettings"],
+    ".prefetcher": ["ParallelPrefetcher"],
+    ".schedule": ["NEVER", "LookaheadSchedule"],
+    ".shared": ["SharedDatasetPrefetcher"],
+    ".stage": ["PrismaStage"],
+    ".tiering": ["ClairvoyantTieringObject", "TieringConfig", "TieringObject"],
+})

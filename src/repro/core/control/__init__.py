@@ -14,74 +14,46 @@ linking planes (typed failures, retry with backoff under a time budget).
 
 ``MetricsSnapshot`` — the monitoring record stages report — lives in
 :mod:`repro.telemetry` (re-exported by :mod:`repro.core`).
+
+Every name below is exported lazily: the live plane imports the kernel,
+the policies, the monitor and :mod:`.retry`, and so never loads the
+simulated driver or the channel, which need the simulator.
 """
 
-from .controller import Controller
-from .kernel import (
-    ChannelTransport,
-    ControlCycle,
-    ControlTransport,
-    DirectTransport,
-    GlobalPolicy,
-    KernelRegistration,
-    PortCall,
-    StagePort,
-)
-from .replicated import ReplicatedController
-from .monitor import DEFAULT_MAX_ENTRIES, MetricsHistory
-from .policy import (
-    AutotuneParams,
-    ControlPolicy,
-    DegradedModeParams,
-    DegradedModePolicy,
-    OscillationDampedPolicy,
-    PredictiveParams,
-    PredictivePolicy,
-    PrismaAutotunePolicy,
-    StaticPolicy,
-)
-from .rpc import (
-    LOCAL_LATENCY,
-    REMOTE_LATENCY,
-    ControlChannel,
-    RetryPolicy,
-    RpcApplicationError,
-    RpcError,
-    RpcRetriesExhausted,
-    RpcTimeout,
-    RpcTransportError,
-)
+from ..._lazy import lazy_exports
 
-
-__all__ = [
-    "AutotuneParams",
-    "ChannelTransport",
-    "ControlChannel",
-    "ControlCycle",
-    "ControlPolicy",
-    "ControlTransport",
-    "Controller",
-    "DEFAULT_MAX_ENTRIES",
-    "DegradedModeParams",
-    "DegradedModePolicy",
-    "DirectTransport",
-    "GlobalPolicy",
-    "KernelRegistration",
-    "LOCAL_LATENCY",
-    "MetricsHistory",
-    "PortCall",
-    "OscillationDampedPolicy",
-    "PredictiveParams",
-    "PredictivePolicy",
-    "PrismaAutotunePolicy",
-    "REMOTE_LATENCY",
-    "ReplicatedController",
-    "RetryPolicy",
-    "RpcApplicationError",
-    "RpcError",
-    "RpcRetriesExhausted",
-    "RpcTimeout",
-    "RpcTransportError",
-    "StagePort",
-    "StaticPolicy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".controller": ["Controller"],
+    ".kernel": [
+        "ChannelTransport",
+        "ControlCycle",
+        "ControlTransport",
+        "DirectTransport",
+        "GlobalPolicy",
+        "KernelRegistration",
+        "PortCall",
+        "StagePort",
+    ],
+    ".monitor": ["DEFAULT_MAX_ENTRIES", "MetricsHistory"],
+    ".policy": [
+        "AutotuneParams",
+        "ControlPolicy",
+        "DegradedModeParams",
+        "DegradedModePolicy",
+        "OscillationDampedPolicy",
+        "PredictiveParams",
+        "PredictivePolicy",
+        "PrismaAutotunePolicy",
+        "StaticPolicy",
+    ],
+    ".replicated": ["ReplicatedController"],
+    ".retry": [
+        "RetryPolicy",
+        "RpcApplicationError",
+        "RpcError",
+        "RpcRetriesExhausted",
+        "RpcTimeout",
+        "RpcTransportError",
+    ],
+    ".rpc": ["LOCAL_LATENCY", "REMOTE_LATENCY", "ControlChannel"],
+})

@@ -21,7 +21,8 @@ from ...simcore.errors import Interrupt
 from .kernel import ChannelTransport, ControlCycle, GlobalPolicy
 from .monitor import MetricsHistory
 from .policy import ControlPolicy
-from .rpc import ControlChannel, RetryPolicy
+from .retry import RetryPolicy
+from .rpc import ControlChannel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...simcore.kernel import Simulator

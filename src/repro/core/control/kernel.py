@@ -15,7 +15,7 @@ pluggable seams so every deployment shape reuses it unchanged:
   :class:`ChannelTransport` crosses a latency/fault-modelled
   :class:`~.rpc.ControlChannel` with retry/backoff, while
   :class:`DirectTransport` makes the in-process call of a live deployment
-  under the *same* :class:`~.rpc.RetryPolicy` and typed-error taxonomy.
+  under the *same* :class:`~.retry.RetryPolicy` and typed-error taxonomy.
 
 The kernel owns everything in between: stage registration against the
 narrow :class:`StagePort` surface, bounded per-stage
@@ -30,7 +30,7 @@ yields :class:`PortCall` commands and never performs a call itself.  The
 two pumps resolve them — :meth:`ControlCycle.run_events` inside a simulated
 process (yielding transport events), :meth:`ControlCycle.run_inline`
 synchronously on a thread.  Transport failures are thrown back into the
-generator as typed :class:`~.rpc.RpcError` subclasses, so the skip/account
+generator as typed :class:`~.retry.RpcError` subclasses, so the skip/account
 logic is written exactly once.
 """
 
@@ -40,6 +40,7 @@ import abc
 import time
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -58,14 +59,16 @@ except ImportError:  # pragma: no cover
 from ..optimization import MetricsSnapshot, TuningSettings
 from .monitor import DEFAULT_MAX_ENTRIES, MetricsHistory
 from .policy import ControlPolicy
-from .rpc import (
-    ControlChannel,
+from .retry import (
     RetryPolicy,
     RpcApplicationError,
     RpcRetriesExhausted,
     RpcTimeout,
     RpcTransportError,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .rpc import ControlChannel
 
 
 class StagePort(Protocol):
@@ -136,11 +139,11 @@ class DirectTransport(ControlTransport):
 
     The live deployment's transport: the far side is a plain method call,
     but failures still classify exactly as over a channel — transport-class
-    errors (:class:`~.rpc.RpcTransportError`, :class:`~.rpc.RpcTimeout`)
-    are retried with the :class:`~.rpc.RetryPolicy` backoff schedule under
+    errors (:class:`~.retry.RpcTransportError`, :class:`~.retry.RpcTimeout`)
+    are retried with the :class:`~.retry.RetryPolicy` backoff schedule under
     its wall-clock budget, anything else the callee raises becomes a fatal
-    :class:`~.rpc.RpcApplicationError`, and an exhausted schedule raises
-    :class:`~.rpc.RpcRetriesExhausted` chaining the last transport error.
+    :class:`~.retry.RpcApplicationError`, and an exhausted schedule raises
+    :class:`~.retry.RpcRetriesExhausted` chaining the last transport error.
     """
 
     kind = "direct"
@@ -235,7 +238,7 @@ class ControlCycle:
     cycle does.  A stage whose transport stays down through the retry
     budget is skipped for the cycle (``rpc_failures`` incremented) — the
     control plane degrades to stale knobs rather than crashing, while a
-    far-side :class:`~.rpc.RpcApplicationError` propagates to the driver
+    far-side :class:`~.retry.RpcApplicationError` propagates to the driver
     (retrying would replay a deterministic bug).
     """
 

@@ -22,7 +22,7 @@ from ...telemetry.metrics import MetricsRegistry
 from ..control.kernel import ControlCycle, DirectTransport, GlobalPolicy, StagePort
 from ..control.monitor import MetricsHistory
 from ..control.policy import ControlPolicy, PrismaAutotunePolicy
-from ..control.rpc import RetryPolicy
+from ..control.retry import RetryPolicy
 from ..optimization import MetricsSnapshot
 from .prefetcher import LivePrefetcher
 

@@ -22,10 +22,10 @@ import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
-from ..simcore.event import Event
 from ..telemetry.snapshot import MetricsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..simcore.event import Event
     from ..simcore.kernel import Simulator
     from ..storage.backend import SampleSource
 

@@ -36,8 +36,6 @@ import sys
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Sequence
 
-from ..simcore.random import RandomStreams
-
 __all__ = ["NEVER", "LookaheadSchedule"]
 
 #: Sentinel next-use distance for "not used again within the horizon".
@@ -100,6 +98,10 @@ class LookaheadSchedule:
         """
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
+        # Only a seeded schedule needs the RNG streams (and numpy under
+        # them); the live plane imports this module without either.
+        from ..simcore.random import RandomStreams
+
         paths = list(paths)
         streams = RandomStreams(seed)
         orders = []

@@ -13,9 +13,10 @@ requested").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,8 @@ class DatasetCatalog:
     """
 
     def __init__(self, prefix: str, sizes: Sequence[int] | np.ndarray, name: str = "dataset") -> None:
+        import numpy as np
+
         self.prefix = prefix
         self.name = name
         self._sizes = np.asarray(sizes, dtype=np.int64)

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from .catalog import DatasetCatalog
 
 
@@ -61,6 +59,8 @@ def shard_catalog(
     Samples are packed in catalog order; each record adds
     :data:`RECORD_OVERHEAD_BYTES` of framing, matching TFRecord's layout.
     """
+    import numpy as np
+
     if samples_per_shard < 1:
         raise ValueError("samples_per_shard must be >= 1")
     prefix = prefix or f"{catalog.prefix}-shards"

@@ -13,12 +13,14 @@ enqueue prefetches, without any coordination at run time.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-import numpy as np
-
-from ..simcore.random import RandomStreams
 from .catalog import DatasetCatalog
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    from ..simcore.random import RandomStreams
 
 
 class EpochShuffler:
@@ -38,6 +40,8 @@ class EpochShuffler:
 
     def order(self, epoch: int) -> np.ndarray:
         """The sample-index permutation for ``epoch`` (int64 array)."""
+        import numpy as np
+
         if epoch < 0:
             raise ValueError("epoch must be non-negative")
         rng = self._streams.fresh(f"{self.name}.epoch{epoch}")
@@ -53,6 +57,8 @@ class SequentialOrder:
         self.n = n
 
     def order(self, epoch: int) -> np.ndarray:
+        import numpy as np
+
         return np.arange(self.n, dtype=np.int64)
 
 
@@ -68,6 +74,8 @@ def batches_from_order(order: Sequence[int] | np.ndarray, batch_size: int, drop_
     ``drop_remainder`` the trailing partial batch is discarded (tf.data's
     ``drop_remainder=True``).
     """
+    import numpy as np
+
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     arr = np.asarray(order, dtype=np.int64)

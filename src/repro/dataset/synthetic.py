@@ -15,10 +15,14 @@ the paper (see :mod:`repro.experiments.config`).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from ..simcore.random import RandomStreams
 from .catalog import DatasetCatalog, TrainValSplit
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    from ..simcore.random import RandomStreams
 
 #: ILSVRC-2012 constants (paper §V "Dataset, models, and DL frameworks").
 IMAGENET_TRAIN_FILES = 1_281_167
@@ -39,6 +43,8 @@ def lognormal_sizes(
     sigma: float = _SIZE_SIGMA,
 ) -> np.ndarray:
     """``count`` right-skewed sizes summing (exactly) to ``total_bytes``."""
+    import numpy as np
+
     if count < 1:
         raise ValueError("count must be >= 1")
     if total_bytes < count:
@@ -68,6 +74,8 @@ def lognormal_sizes(
 
 def uniform_sizes(count: int, total_bytes: int) -> np.ndarray:
     """All files the same size (± rounding); for analytic cross-checks."""
+    import numpy as np
+
     if count < 1:
         raise ValueError("count must be >= 1")
     base = total_bytes // count

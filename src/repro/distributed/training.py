@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-import numpy as np
-
 from ..cluster import ClusterStore
 from ..core import Controller, ParallelPrefetcher, PrismaAutotunePolicy, PrismaStage
 from ..core.control import ControlChannel
@@ -37,6 +35,8 @@ from ..simcore.random import RandomStreams
 from .barrier import StepBarrier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from ..simcore.kernel import Simulator
     from ..storage.posix import PosixLike
 

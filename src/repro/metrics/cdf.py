@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class DiscreteCDF:
@@ -97,6 +95,8 @@ def thread_usage_ratio(a: DiscreteCDF, b: DiscreteCDF, quantiles: Sequence[float
 
 def empirical_cdf(samples: Sequence[float]) -> DiscreteCDF:
     """Standard ECDF over raw samples (each sample weighted equally)."""
+    import numpy as np
+
     arr = np.asarray(list(samples), dtype=float)
     if arr.size == 0:
         raise ValueError("samples are empty")

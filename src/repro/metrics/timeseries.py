@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import LatencyRecorder
 
@@ -26,6 +24,8 @@ def bin_rate(
     Returns ``(bin_start, amount_per_second)`` rows covering ``[0, t_end)``;
     useful for bandwidth-over-time plots from byte-count traces.
     """
+    import numpy as np
+
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
     if not events:

@@ -7,9 +7,9 @@ application can catch one base class.
 
 from __future__ import annotations
 
-
-class SimulationError(Exception):
-    """Base class for all kernel-level errors."""
+# The base lives outside the simulator, so that the live plane can use the
+# RPC errors derived from it without loading this package.
+from ..errors import SimulationError
 
 
 class SchedulingError(SimulationError):

@@ -470,6 +470,13 @@ class KeyedStore(Store):
         return list(self._waiters)
 
     # -- operations ------------------------------------------------------------
+    def offer(self, item: Any) -> bool:
+        """Refused: an item enters a keyed store only under its key.
+
+        Raises :class:`TypeError` and admits nothing; use ``put(key, item)``.
+        """
+        raise TypeError(f"{self.name!r} is keyed: use put(key, item), not offer(item)")
+
     def put(self, key: Hashable, item: Any = None) -> KeyedStorePut:  # type: ignore[override]
         event = KeyedStorePut(self, key, item)
         self._putters.append(event)

@@ -16,14 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
-import numpy as np
-
 from ..simcore.event import Event
 from ..simcore.resources import Resource
 from ..telemetry import CounterSet
 from .fluid import FairShareChannel, saturating_capacity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from ..simcore.kernel import Simulator
     from ..simcore.random import RandomStreams
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class LatencySummary:
@@ -40,6 +38,8 @@ class LatencyRecorder:
     """
 
     def __init__(self, name: str = "latency", max_samples: int = 200_000) -> None:
+        from numpy.random import default_rng
+
         if max_samples < 1:
             raise ValueError("max_samples must be >= 1")
         self.name = name
@@ -47,7 +47,7 @@ class LatencyRecorder:
         self._times: List[float] = []
         self._values: List[float] = []
         self._seen = 0
-        self._rng = np.random.default_rng(0)
+        self._rng = default_rng(0)
 
     def record(self, time: float, latency: float) -> None:
         if latency < 0:
@@ -71,6 +71,8 @@ class LatencyRecorder:
         return self._seen
 
     def summary(self) -> LatencySummary:
+        import numpy as np
+
         if not self._values:
             raise ValueError(f"{self.name}: no latencies recorded")
         arr = np.asarray(self._values)

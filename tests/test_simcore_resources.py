@@ -114,6 +114,17 @@ def test_store_offer_admits_without_an_event_and_serves_getters():
     assert sim.events_processed == 1  # the get; offers cost no event
 
 
+def test_keyed_store_refuses_offer_and_admits_nothing():
+    sim = Simulator()
+    store = KeyedStore(sim, capacity=2)
+    with pytest.raises(TypeError, match=r"put\(key, item\)"):
+        store.offer("x")
+    assert store.items == {} and store.level == 0 and store.peak_items == 0
+    assert not store.contains("x")
+    store.put("x", 1)  # the keyed path still works
+    assert store.contains("x") and store.level == 1
+
+
 def test_store_mean_occupancy_time_weighted():
     sim = Simulator()
     store = Store(sim, capacity=10)

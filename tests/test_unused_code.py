@@ -1,11 +1,12 @@
-"""Every function and method the package defines is used somewhere.
+"""Every function, method and module constant the package defines is used.
 
-The scan reads each ``def`` under ``src/repro`` and counts how often its
-name is written anywhere in the package, the tests, the benchmarks, the
-examples or the docs (README, DESIGN, EXPERIMENTS and the benchmark
-suite's README).  A name written no more often than it is defined has no
-caller and no reader: it is dead, and goes.  Dunders are reached by the
-interpreter, not by name, and are skipped.
+The scan reads each ``def`` under ``src/repro``, and each UPPER_CASE name
+(``_PRIVATE`` ones too) assigned at the top level of a module there, and
+counts how often the name is written anywhere in the package, the tests,
+the benchmarks, the examples or the docs (README, DESIGN, EXPERIMENTS and
+the benchmark suite's README).  A name written no more often than it is
+defined has no caller and no reader: it is dead, and goes.  Dunders are
+reached by the interpreter, not by name, and are skipped.
 
 The change logs (CHANGES, ROADMAP) do not count: they name deleted code.
 """
@@ -25,12 +26,29 @@ DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "benchmarks/suite/README.md"
 ALLOWED = {}
 
 
+#: a module constant's name
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
 def package_definitions():
-    """``(name, path)`` of every function and method under ``src/repro``."""
+    """``(name, path)`` of every function, method and module constant under
+    ``src/repro``."""
     for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield node.name, path
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and CONSTANT.fullmatch(name.id):
+                        yield name.id, path
 
 
 def written_names():
@@ -58,6 +76,15 @@ def unused_definitions():
         if not (name.startswith("__") and name.endswith("__"))
         and words[name] <= defined[name]
     }
+
+
+def test_the_scan_reads_module_constants():
+    definitions = set(package_definitions())
+    paper = PACKAGE / "experiments" / "paper.py"
+    assert ("INTEGRATION_LOC", paper) in definitions  # plain assignment
+    assert ("FIG2_LENET_SECONDS", paper) in definitions  # annotated
+    assert ("_SKIPPABLE", PACKAGE / "core" / "control" / "kernel.py") in definitions
+    assert not any(name == "__version__" for name, _ in definitions)
 
 
 def test_every_function_the_package_defines_is_used():
