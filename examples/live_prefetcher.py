@@ -63,9 +63,12 @@ def run_prisma(orders: list) -> float:
             for _path, data in prisma.iter_epoch(order):
                 assert data  # "train" on it
         stats = prisma.stats()
+        # The tuner's target; stats()["producers"] counts the live producer
+        # threads, none once the last epoch has drained.
+        settled = prisma.producers
     elapsed = time.perf_counter() - start
     print(
-        f"  [auto-tuner] settled at t={stats['producers']} producers, "
+        f"  [auto-tuner] settled at t={settled} producers, "
         f"N={stats['buffer_capacity']}; buffer hit rate "
         f"{stats['hit_rate']:.0%}"
     )

@@ -71,6 +71,7 @@ class ClusterNode:
         self._peer_name = f"{name}.peer"
         self._peer_fetch_name = f"{name}.peer_fetch"
         self.counters = CounterSet(sim.metrics, "cluster", name)
+        self._owner_of = store.shard_map.owner_of
         # The tier's fill path is routed through this node (owned samples
         # come from the backing store, remote ones from the owning peer) —
         # the "peer tier as a promotion source" seam in core/tiering.
@@ -97,19 +98,19 @@ class ClusterNode:
         must not displace its own shard by default — evicting owned samples
         would force peers back to the backing store).
         """
-        self.counters.add("reads")
-        owner = self.shard_map.owner_of(path)
-        if owner == self.index:
-            self.counters.add("local_requests")
+        counters = self.counters
+        counters.reads.value += 1
+        if self._owner_of(path) == self.index:
+            counters.local_requests.value += 1
             admit = True
         else:
-            self.counters.add("remote_requests")
+            counters.remote_requests.value += 1
             admit = self.cache_remote_reads
         return self.tier.fetch_through(path, admit=admit)
 
     def _tier_source(self, path: str) -> Event:
         """Where the tier's read-through fetches get their bytes."""
-        owner = self.shard_map.owner_of(path)
+        owner = self._owner_of(path)
         if owner == self.index:
             return self.store.backing_read(path)
         return self._peer_fetch(path, owner)
@@ -140,7 +141,7 @@ class ClusterNode:
 
         def replied(ev: Event) -> None:
             if ev.ok:
-                self.counters.add("peer_hits")
+                self.counters.peer_hits.value += 1
                 if tel is not None:
                     tel.end(span, outcome="peer")
                 done.succeed(ev.value)
@@ -174,9 +175,9 @@ class ClusterNode:
         backing fetch, which is what keeps retried at-most-once requests
         from double-reading the backing store.
         """
-        if self.shard_map.owner_of(path) != self.index:
+        if self._owner_of(path) != self.index:
             raise UnknownSample(f"{self.name} does not own {path!r}")
-        self.counters.add("peer_serves")
+        self.counters.peer_serves.value += 1
         return self.tier.fetch_through(path)
 
     # -- observability -----------------------------------------------------------

@@ -50,7 +50,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ...simcore.errors import ProcessError
-from ...simcore.event import Event, Timeout
+from ...simcore.event import Event
 from ...telemetry import CounterSet
 from .retry import (
     RetryPolicy,
@@ -62,7 +62,7 @@ from .retry import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ...simcore.kernel import Simulator
+    from ...simcore.kernel import Simulator, _Call
 
 #: In-process call: effectively free (prototype deployment, paper §IV).
 LOCAL_LATENCY = 2e-6
@@ -95,7 +95,7 @@ class _Exchange:
         self.awaited = awaited
         self.done: Optional[Event] = done
         self.retry = retry
-        self.deadline: Optional[Timeout] = None
+        self.deadline: Optional[_Call] = None
 
     def settle(self, value: Any = None, exc: Optional[RpcError] = None) -> None:
         done, retry = self.done, self.retry
@@ -112,7 +112,7 @@ class _Exchange:
         else:
             done.fail(exc)
 
-    def deliver(self, _ev: Event) -> None:
+    def deliver(self, _arg: None) -> None:
         """The request leg arrives: run the far side."""
         ch = self.channel
         fn, args, self.fn, self.args = self.fn, self.args, None, None
@@ -140,12 +140,9 @@ class _Exchange:
         ch = self.channel
         one_way = ch.latency + ch._extra_delay
         if one_way > 0:
-            ch.sim.timeout(one_way, result).add_callback(self.replied)
+            ch.sim.call_later(one_way, self.arrive, result)
         else:
             self.arrive(result)
-
-    def replied(self, ev: Event) -> None:
-        self.arrive(ev.value)
 
     def arrive(self, result: Any) -> None:
         ch = self.channel
@@ -155,10 +152,10 @@ class _Exchange:
         else:
             self.settle(result)
 
-    def expire(self, ev: Event) -> None:
+    def expire(self, timeout: float) -> None:
         if self.done is not None:
             self.channel.counters.add("timeouts")
-            self.settle(exc=RpcTimeout(f"{self.channel.name}: no reply within {ev.delay:g}s"))
+            self.settle(exc=RpcTimeout(f"{self.channel.name}: no reply within {timeout:g}s"))
 
 
 class ControlChannel:
@@ -220,10 +217,9 @@ class ControlChannel:
         sim = self.sim
         done = Event(sim, name=self._labels[label])
         exchange = _Exchange(self, fn, args, awaited, done, retry)
-        sim.timeout(self.latency + self._extra_delay).add_callback(exchange.deliver)
+        sim.call_later(self.latency + self._extra_delay, exchange.deliver)
         if timeout is not None:
-            exchange.deadline = deadline = sim.timeout(timeout)
-            deadline.add_callback(exchange.expire)
+            exchange.deadline = sim.call_later(timeout, exchange.expire, timeout)
         return done
 
     def _far_side_error(self, exc: BaseException) -> RpcError:
@@ -249,7 +245,7 @@ class ControlChannel:
         late, not the request lost — exactly the at-most-once ambiguity a
         real RPC layer has.
         """
-        self.counters.add("calls")
+        self.counters.calls.value += 1
         return self._dispatch(fn, args, timeout, awaited=False, label="call")
 
     def request(self, fn: Callable[..., Any], *args: Any, timeout: Optional[float] = None) -> Event:
@@ -263,7 +259,7 @@ class ControlChannel:
         fall back, not replay.  ``timeout`` bounds the *whole* exchange,
         including the far-side service time.
         """
-        self.counters.add("requests")
+        self.counters.requests.value += 1
         return self._dispatch(fn, args, timeout, awaited=True, label="request")
 
     def _retrying(
@@ -300,7 +296,8 @@ class ControlChannel:
 
             loop.add_callback(settle)
 
-        self.counters.add("requests" if awaited else "calls")
+        counters = self.counters
+        (counters.requests if awaited else counters.calls).value += 1
         done = self._dispatch(fn, args, timeout, awaited, label, retry)
         return done  # settled by the first attempt, or by the retry loop
 

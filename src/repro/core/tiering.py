@@ -200,13 +200,13 @@ class TieringObject(OptimizationObject):
         """
         if path in self._resident:
             self._resident.move_to_end(path)
-            self.counters.add("fast_hits")
+            self.counters.fast_hits.value += 1
             return self.fast_fs.read_whole(self._tier_path(path))
         inflight = self._fetching.get(path)
         if inflight is not None:
-            self.counters.add("coalesced_fetches")
+            self.counters.coalesced_fetches.value += 1
             return inflight
-        self.counters.add("slow_reads")
+        self.counters.slow_reads.value += 1
         done = Event(self.sim, name=self._fetch_name)
         self._fetching[path] = done
         done.add_callback(lambda _ev: self._fetching.pop(path, None))

@@ -173,9 +173,9 @@ class TFDataPipeline(DataSource):
         self._batch_store = Store(
             self.sim, capacity=self._batch_capacity, name=f"{self.name}.batches"
         )
-        self.sim.timeout(0).add_callback(self._start)
+        self.sim.call_later(0, self._start)
 
-    def _start(self, _ev: Event) -> None:
+    def _start(self, _arg: None) -> None:
         for r in range(self.reader_threads):
             self._read_next(r)
 
@@ -223,9 +223,9 @@ class TFDataPipeline(DataSource):
 
     def _map(self) -> None:
         """A mapper preprocesses one record: one timer per record."""
-        self.sim.timeout(self.model.preprocess_time_per_image).add_callback(self._mapped_one)
+        self.sim.call_later(self.model.preprocess_time_per_image, self._mapped_one)
 
-    def _mapped_one(self, _ev: Event) -> None:
+    def _mapped_one(self, _arg: None) -> None:
         if self._held is _NOTHING:
             self._count()
         elif self._mapped < self.stage_depth:

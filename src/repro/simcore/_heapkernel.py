@@ -149,6 +149,13 @@ class HeapSimulator:
         self._enqueue_at(t._at, t)
         return t
 
+    def call_later(self, delay: float, fn: Callable[[Any], Any], arg: Any = None) -> Timeout:
+        # The form the slot kernel's callback entry replaced: a Timeout
+        # carrying the one callback.
+        ev = self.timeout(delay)
+        ev.add_callback(lambda _ev: fn(arg))
+        return ev
+
     def process(self, generator: ProcessGenerator, name: str = "") -> HeapProcess:
         return HeapProcess(self, generator, name=name)
 

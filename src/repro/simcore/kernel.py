@@ -8,13 +8,18 @@ Scheduler layout (the hot path of every benchmark in this repository):
 
 * ``_now_queue`` — a FIFO of the events at the **current** timestamp.  All
   immediate scheduling (``succeed``/``fail`` via ``_enqueue_now``,
-  zero-delay timeouts, process bootstraps, interrupt wake-ups) appends
+  zero-delay timers, process bootstraps, interrupt wake-ups) appends
   here directly and never touches the heap.
 * ``_slots`` — ``time -> slot`` for strictly-future timestamps.  A slot
   is the lone event scheduled at that time, or, once a second event lands
   on the same time, a deque of them in scheduling order; the heap holds
   one entry per *distinct* timestamp instead of one per event.
 * ``_times`` — a binary heap of the distinct future timestamps.
+
+Besides Events, the queues hold three smaller entries, each with the
+``_process()`` the loop calls: ``_Resume`` (a process bootstrap or
+wake-up), ``_Deferred`` (an ``Event.succeed_after`` trigger) and
+``_Call`` (a ``call_later`` timer that calls one function).
 
 Determinism contract: events fire in ``(time, slot-FIFO)`` order — the
 clock advances through timestamps in ascending order, and all events at
@@ -63,6 +68,28 @@ class _Resume:
 
     def _process(self) -> None:
         self.process._resume(None)
+
+
+class _Call:
+    """A timed queue entry that calls ``fn(arg)`` — a timer with no Event.
+
+    Most timers exist to run one callback: a channel's next completion, a
+    device's submission latency, an RPC leg or deadline.  A
+    :class:`Timeout` for each carries a callbacks list, a value and a
+    trigger state that nothing reads; this entry carries the call alone.
+    Build one with :meth:`Simulator.call_later`, which sets ``fn``,
+    ``arg`` and ``_at`` (the timestamp it fires at, where
+    :meth:`Simulator.cancel` finds it) itself: timers are the kernel's
+    highest-volume entries.  ``fn`` is None once the entry fired or was
+    cancelled.
+    """
+
+    __slots__ = ("fn", "arg", "_at")
+
+    def _process(self) -> None:
+        fn = self.fn
+        self.fn = None
+        fn(self.arg)
 
 
 class Process(Event):
@@ -273,23 +300,52 @@ class Simulator:
             slots[at] = deque((slot, timeout))
         return timeout
 
+    def call_later(self, delay: float, fn: Callable[[Any], Any], arg: Any = None) -> _Call:
+        """Call ``fn(arg)`` ``delay`` time units from now.
+
+        The timer for a callback that nothing joins: it fires in the same
+        ``(time, slot-FIFO)`` order as a :class:`Timeout` scheduled at the
+        same point and costs one kernel event, but allocates no Event.  The
+        entry it returns can be passed to :meth:`cancel`.  A timer that a
+        process yields, or that a caller is handed to wait on, is a
+        :meth:`timeout`.
+        """
+        if delay < 0:
+            raise SchedulingError(f"negative timeout delay: {delay}")
+        now = self.now
+        entry = _Call()
+        entry.fn = fn
+        entry.arg = arg
+        entry._at = at = now + float(delay)
+        if at <= now:
+            self._now_queue.append(entry)
+            return entry
+        slots = self._slots
+        slot = slots.get(at)
+        if slot is None:
+            slots[at] = entry
+            heapq.heappush(self._times, at)
+        elif slot.__class__ is deque:
+            slot.append(entry)
+        else:
+            slots[at] = deque((slot, entry))
+        return entry
+
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process from a generator; returns its join-event."""
         return Process(self, generator, name=name)
 
-    def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Timeout:
+    def at(self, time: float, fn: Callable[..., Any], *args: Any) -> _Call:
         """Run ``fn(*args)`` at absolute simulated ``time`` (clamped to now).
 
         The scheduling primitive of the fault-injection subsystem: a
         :class:`~repro.faults.FaultPlan` is a list of absolute-time actions,
         and ``at`` turns each one into a kernel event without the caller
-        writing a one-shot generator per action.  Returns the underlying
-        :class:`Timeout` so callers may join or inspect it.
+        writing a one-shot generator per action.  Returns the
+        :meth:`call_later` entry, which :meth:`cancel` accepts.
         """
         delay = max(float(time) - self.now, 0.0)
-        ev = self.timeout(delay)
-        ev.add_callback(lambda _ev: fn(*args))
-        return ev
+        return self.call_later(delay, lambda _arg: fn(*args))
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, list(events))
@@ -306,18 +362,24 @@ class Simulator:
         """Request that :meth:`run` return after the current event."""
         self._stopping = True
 
-    def cancel(self, timeout: Timeout) -> None:
+    def cancel(self, timeout: "Timeout | _Call") -> None:
         """Withdraw a pending timer: it never fires, its callbacks never run.
 
+        ``timeout`` is a :class:`Timeout` or a :meth:`call_later` entry.
         The timer is taken out of its slot, so it costs no kernel event and
         is freed at once.  Cancelling a timer that already fired (or is
         firing) or was already cancelled is a no-op.  Every other event
         fires in the same order as if the timer had stayed in place with
         callbacks that do nothing.
         """
-        if not timeout._scheduled or timeout.callbacks is None:
+        if timeout.__class__ is _Call:
+            if timeout.fn is None:
+                return
+            timeout.fn = None
+        elif not timeout._scheduled or timeout.callbacks is None:
             return
-        timeout._scheduled = False
+        else:
+            timeout._scheduled = False
         at = timeout._at
         if at <= self.now:
             self._now_queue.remove(timeout)

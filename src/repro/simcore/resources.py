@@ -597,9 +597,15 @@ class ResourceRequest(RequestEvent):
     __slots__ = ("resource", "_issued_at")
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.sim, name=resource._req_name)
+        self.sim = sim = resource.sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._exception = None
+        self._scheduled = False
+        self.name = resource._req_name
+        self.state = WAITING
         self.resource = resource
-        self._issued_at = resource.sim.now
+        self._issued_at = sim.now
 
     # Allow `with (yield res.request()):` style usage in process bodies.
     def __enter__(self) -> "ResourceRequest":
@@ -657,6 +663,26 @@ class Resource:
         else:
             self.queue.append(event)
         return event
+
+    def try_request(self) -> Optional[ResourceRequest]:
+        """Take a free slot in place: the held request, or None when full.
+
+        The synchronous form of :meth:`request` for a caller that need not
+        wait: a free slot has no queue behind it, so it is granted at once,
+        with no grant event, and metered as a zero-wait acquisition.
+        Release it with :meth:`release` as usual.
+        """
+        users = self.users
+        if len(users) >= self.capacity:
+            return None
+        request = ResourceRequest(self)
+        self._account()
+        users.append(request)
+        self.total_acquisitions += 1
+        request._value = request
+        request.callbacks = None
+        request.state = RUNNING
+        return request
 
     def _grant(self, event: ResourceRequest) -> None:
         self._account()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..simcore.event import Event
-from ..simcore.resources import Resource
+from ..simcore.resources import Resource, ResourceRequest
 from ..telemetry import CounterSet
 from .fluid import FairShareChannel, saturating_capacity
 
@@ -55,7 +55,11 @@ class DeviceProfile:
         SSDs overlap command submissions freely (high); a spinning disk has
         one actuator, so seeks serialize (1) — without this, parallel
         readers would overlap seek time and a mechanical disk would appear
-        to scale like flash.
+        to scale like flash.  Slots exist only below ``max_queue_depth``:
+        the default of 256 creates them on ``ramdisk`` and ``nvme-gen4``
+        but not on the P4600 (queue depth 128).  A request that finds a
+        slot free takes it with no kernel event; only a full set of slots
+        queues it for a grant.
     """
 
     name: str
@@ -318,27 +322,34 @@ class BlockDevice:
                 service = tel.begin("dev.transfer", span.track, "storage")
             channel.transfer(nbytes, weight, event=done, elapsed=lat, value=value)
 
+        slots = self._seek_slots
         if lat <= 0:
             transfer()
-        elif self._seek_slots is None:
-            sim.timeout(lat).add_callback(transfer)
+        elif slots is None:
+            sim.call_later(lat, transfer)
         else:
-            # Queue for the (possibly single) seek slot — the wait nests on
+            # Hold a seek slot through the latency phase.  The wait nests on
             # the request's own lane, which it owns until the outer span ends.
-            slots = self._seek_slots
             wait = tel.begin("dev.seek_wait", span.track, "storage") if tel else None
 
-            def seek(request: Event) -> None:
+            def seeked(request: ResourceRequest) -> None:
+                slots.release(request)
+                transfer()
+
+            held = slots.try_request()
+            if held is not None:
+                # A free slot: no grant event, the latency timer starts now.
                 if wait is not None:
                     tel.end(wait)
+                sim.call_later(lat, seeked, held)
+            else:
+                # Every slot is held (one actuator): queue for the next.
+                def seek(request: ResourceRequest) -> None:
+                    if wait is not None:
+                        tel.end(wait)
+                    sim.call_later(lat, seeked, request)
 
-                def seeked(_ev: Event) -> None:
-                    slots.release(request)
-                    transfer()
-
-                sim.timeout(lat).add_callback(seeked)
-
-            slots.request().add_callback(seek)
+                slots.request().add_callback(seek)
         return done
 
     # -- public API -------------------------------------------------------------
@@ -359,10 +370,11 @@ class BlockDevice:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        self.counters.add("reads")
-        self.counters.add("read_bytes", nbytes)
+        counters = self.counters
+        counters.reads.value += 1
+        counters.read_bytes.value += nbytes
         if nbytes >= self.profile.large_read_threshold:
-            self.counters.add("sequential_reads")
+            counters.sequential_reads.value += 1
             return self._request(
                 self._seq_read_channel, self.profile.read_latency, nbytes, weight,
                 "seqread", event, value,

@@ -167,7 +167,7 @@ class DistributedFilesystem:
                 tel.end(span, outcome="error", error=type(exc).__name__)
             done.fail(process_error(f"pfsread:{path}", exc))
 
-        def at_target(_ev: Event) -> None:
+        def at_target(_arg: None) -> None:
             if nbytes == 0:
                 if span is not None:
                     tel.end(span, outcome="empty")
@@ -199,7 +199,7 @@ class DistributedFilesystem:
                 tel.end(span, outcome="ost")
             done.succeed(nbytes)
 
-        sim.timeout(self.rpc_latency).add_callback(at_target)
+        sim.call_later(self.rpc_latency, at_target)
         return done
 
     def read_whole(self, path: str) -> Event:
@@ -231,7 +231,7 @@ class DistributedFilesystem:
             )
         done = Event(sim, name=self._write_name)
 
-        def at_target(_ev: Event) -> None:
+        def at_target(_arg: None) -> None:
             if nbytes > 0:
                 self.network.transfer(nbytes).add_callback(sent)
             else:
@@ -263,7 +263,7 @@ class DistributedFilesystem:
                 tel.end(span, outcome="ost")
             done.succeed(nbytes)
 
-        sim.timeout(self.rpc_latency).add_callback(at_target)
+        sim.call_later(self.rpc_latency, at_target)
         return done
 
     # -- aggregate cache accounting ----------------------------------------------

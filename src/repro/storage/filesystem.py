@@ -74,14 +74,14 @@ class ReadFault:
         """Impose the fault on one read: after ``extra_latency``, call
         ``fail(error)``, or ``proceed()`` when there is no error."""
 
-        def decide(_ev: Optional[Event] = None) -> None:
+        def decide(_arg: None = None) -> None:
             if self.error is not None:
                 fail(self.error)
             else:
                 proceed()
 
         if self.extra_latency > 0:
-            sim.timeout(self.extra_latency).add_callback(decide)
+            sim.call_later(self.extra_latency, decide)
         else:
             decide()
 

@@ -35,11 +35,11 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..simcore.errors import SimulationError
-from ..simcore.event import Event, Timeout
+from ..simcore.event import Event
 from ..telemetry import TimeWeightedGauge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..simcore.kernel import Simulator
+    from ..simcore.kernel import Simulator, _Call
 
 #: Remaining-bytes tolerance below which a transfer counts as complete.
 _EPSILON = 1e-6
@@ -147,7 +147,7 @@ class FairShareChannel:
         #: k -> B(k) of the current curve
         self._rates: Dict[int, float] = {}
         #: the pending completion timer (cancelled when superseded)
-        self._timer: Optional[Timeout] = None
+        self._timer: Optional[_Call] = None
         #: observable concurrency gauge (drives utilization plots)
         self.concurrency = TimeWeightedGauge(sim, 0, name=f"{name}.concurrency")
         # lifetime counters
@@ -269,10 +269,11 @@ class FairShareChannel:
         # simulated instant forever.  Over-shooting is harmless — _advance
         # floors remaining at zero.
         min_step = 4.0 * math.ulp(max(sim.now, 1e-9))
-        self._timer = timer = sim.timeout(min_step if min_step > horizon else horizon)
-        timer.add_callback(self._on_timer)
+        self._timer = sim.call_later(
+            min_step if min_step > horizon else horizon, self._on_timer
+        )
 
-    def _on_timer(self, _ev: Event) -> None:
+    def _on_timer(self, _arg: None) -> None:
         """Settle every finished transfer, admit queued ones, re-arm."""
         self._timer = None  # it fired: nothing left to cancel
         self._advance()

@@ -196,7 +196,7 @@ class ObjectStore:
                 tel.end(span, outcome="error", error=type(exc).__name__)
             done.fail(process_error(f"get:{path}", exc))
 
-        def first_byte(_ev: Event) -> None:
+        def first_byte(_arg: None) -> None:
             if nbytes == 0:
                 if span is not None:
                     tel.end(span, outcome="empty")
@@ -221,7 +221,7 @@ class ObjectStore:
                 tel.end(span, outcome="service")
             done.succeed(nbytes)
 
-        sim.timeout(self.profile.get_latency).add_callback(first_byte)
+        sim.call_later(self.profile.get_latency, first_byte)
         return done
 
     def read_whole(self, path: str) -> Event:
@@ -256,6 +256,9 @@ class ObjectStore:
                     tel.end(span, outcome="error", error=type(ev.exception).__name__)
                 done.fail(process_error(f"put:{path}", ev.exception))
                 return
+            landed()
+
+        def landed() -> None:
             meta.size = int(nbytes)
             self.counters.add("puts")
             self.counters.add("write_bytes", nbytes)
@@ -263,13 +266,13 @@ class ObjectStore:
                 tel.end(span, outcome="service")
             done.succeed(nbytes)
 
-        def first_byte(ev: Event) -> None:
+        def first_byte(_arg: None) -> None:
             if nbytes > 0:
                 self.link.transfer(nbytes).add_callback(uploaded)
             else:
-                uploaded(ev)
+                landed()
 
-        sim.timeout(self.profile.put_latency).add_callback(first_byte)
+        sim.call_later(self.profile.put_latency, first_byte)
         return done
 
     # -- observability ------------------------------------------------------------

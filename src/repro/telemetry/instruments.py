@@ -143,6 +143,11 @@ class CounterSet:
     registry, so a second object with the same layer and name counts under
     ``<name>#1`` (see :meth:`MetricsRegistry.claim`).  With no registry the
     view keeps a private one.
+
+    A hot path counts without a call: ``counters.<k>`` is key ``k``'s
+    registry :class:`Counter`, bound on first access exactly as :meth:`add`
+    binds it and then kept as an attribute, so ``counters.reads.value += 1``
+    is an inline increment.
     """
 
     def __init__(
@@ -160,10 +165,22 @@ class CounterSet:
     def add(self, key: str, amount: float = 1.0) -> None:
         counter = self._bound.get(key)
         if counter is None:
-            counter = self._bound[key] = self.registry.counter(
-                f"{self.layer}.{key}_total", object=self.label
-            )
+            counter = self._bind(key)
         counter.value += amount
+
+    def _bind(self, key: str) -> Counter:
+        counter = self._bound[key] = self.registry.counter(
+            f"{self.layer}.{key}_total", object=self.label
+        )
+        return counter
+
+    def __getattr__(self, key: str) -> Counter:
+        # Reached only while ``key`` is not yet an attribute.
+        if key.startswith("_"):
+            raise AttributeError(key)
+        counter = self._bound.get(key) or self._bind(key)
+        self.__dict__[key] = counter
+        return counter
 
     def get(self, key: str) -> float:
         counter = self._bound.get(key)

@@ -6,14 +6,11 @@ falls, how many threads each system uses.  Full-resolution runs live in
 ``benchmarks/``.
 """
 
-import cProfile
 import math
 import os
-import pstats
 
 import pytest
 
-import repro
 from repro.dataset.synthetic import IMAGENET_TRAIN_FILES, IMAGENET_VAL_FILES
 from repro.experiments import (
     ExperimentScale,
@@ -150,29 +147,13 @@ def test_figure2_prisma_trial_event_budget(kernel_probe):
     }
 
 
-#: Code objects that Python 3.12 inlines into their enclosing function,
-#: left out of call counts so that every supported version counts alike.
-COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
-
-
-def test_figure2_prisma_trial_call_budget():
+def test_figure2_prisma_trial_call_budget(package_calls):
     """The same quick Figure-2 ``tf-prisma`` trial makes at most 120 calls
-    per served sample into functions of the package (112.5 measured on
+    per served sample into functions of the package (102.3 measured on
     Python 3.11).  Counted with cProfile, comprehensions aside; the slack
     covers other Python versions."""
-    package = os.path.dirname(os.path.realpath(repro.__file__)) + os.sep
     scale = figure2_scale(quick=True)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        run_tf_trial("tf-prisma", LENET, 256, scale, seed=0)
-    finally:
-        profiler.disable()
-    calls = sum(
-        ncalls
-        for (filename, _, name), (_, ncalls, *_) in pstats.Stats(profiler).stats.items()
-        if name not in COMPREHENSIONS and os.path.realpath(filename).startswith(package)
-    )
+    _, calls = package_calls(run_tf_trial, "tf-prisma", LENET, 256, scale, seed=0)
     n_train = max(IMAGENET_TRAIN_FILES // scale.scale, 1)
     n_val = max(IMAGENET_VAL_FILES // scale.scale, 1)
     samples = scale.epochs * (n_train + n_val)

@@ -24,6 +24,7 @@ from repro.storage import (
     ramdisk,
     sata_hdd,
 )
+from repro.telemetry import Telemetry
 
 
 # ---------------------------------------------------------------- sequential reads
@@ -125,6 +126,53 @@ def test_ssd_seeks_overlap():
 
     t1, t4 = timed(1), timed(4)
     assert t1 / t4 > 1.8
+
+
+def test_hdd_reads_issued_together_serialize_their_seeks():
+    """Three reads at t = 0 on one actuator: the first takes the free seek
+    slot in place, the other two queue for it, and each read lands one
+    seek after the one before.  The floats and the slot's metering are
+    the ones a grant event per read gave."""
+    sim = Simulator()
+    dev = BlockDevice(sim, sata_hdd())
+    done = []
+    for _ in range(3):
+        dev.read(100 * 1024).add_callback(lambda ev: done.append((sim.now, ev.value)))
+    sim.run()
+    assert done == [
+        (0.008623914930555556, 0.008623914930555556),
+        (0.016623914930555556, 0.008623914930555556),
+        (0.024623914930555556, 0.008623914930555556),
+    ]
+    slots = dev._seek_slots
+    assert slots.total_wait_time == 0.024
+    assert slots.utilization() == 0.9746622365974248
+    assert sim.events_processed == 11
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_free_seek_slot_costs_no_grant_event(traced):
+    """``ramdisk`` has seek slots (256 of them, below its queue depth of
+    4096), and a read that finds one free takes it in place: the latency
+    timer, the transfer's completion and the read's own event are its
+    three kernel events, one fewer than with a grant event.  Traced, the
+    read still opens and closes its ``dev.seek_wait`` span."""
+    sim = Simulator()
+    tel = Telemetry().attach(sim) if traced else None
+    dev = BlockDevice(sim, ramdisk())
+    assert dev._seek_slots is not None
+    done = []
+    dev.read(64 * 1024).add_callback(lambda ev: done.append((sim.now, ev.value)))
+    sim.run()
+    assert done == [(8.612141927083333e-06, 8.612141927083333e-06)]
+    assert sim.events_processed == 3
+    if traced:
+        spans = [(s.name, s.start, s.end) for s in tel.spans("storage")]
+        assert spans == [
+            ("dev.read", 0.0, 8.612141927083333e-06),
+            ("dev.seek_wait", 0.0, 0.0),
+            ("dev.transfer", 2e-06, 8.612141927083333e-06),
+        ]
 
 
 def test_seek_concurrency_validation():

@@ -4,10 +4,11 @@ The slot scheduler's contract is exact: at any timestamp, events fire in
 the order they were scheduled — the ``(time, slot-FIFO)`` order must
 equal the old ``(time, sequence)`` heap order, byte for byte.  These
 tests drive randomized scenarios (same-timestamp bursts, zero-delay
-chains, interrupts, AnyOf/AllOf fan-in, resource contention) through
-both :class:`repro.simcore.Simulator` and the in-tree replica of the
-previous kernel (:class:`repro.simcore._heapkernel.HeapSimulator`) and
-assert identical firing order, plus double-run self-determinism.
+chains, interrupts, AnyOf/AllOf fan-in, resource contention, callback
+entries beside timeouts) through both :class:`repro.simcore.Simulator`
+and the in-tree replica of the previous kernel
+(:class:`repro.simcore._heapkernel.HeapSimulator`) and assert identical
+firing order, plus double-run self-determinism.
 
 Targeted invariant tests pin the corners the property suite relies on:
 same-time FIFO, immediate-queue interleaving with pre-scheduled slots,
@@ -403,6 +404,137 @@ def test_succeed_from_a_lone_event_fires_before_the_next_timestamp():
 
     log, _, _ = run_on_both(build)
     assert log == [("lone", 1.0), ("succeeded", 1.0, "v"), ("next", 1.5), ("end", 1.5)]
+
+
+# ---------------------------------------------------------------- callback entries
+# ``call_later`` queues a timed call with no Event on the slot kernel; the
+# heap kernel builds it as a Timeout with one callback, the form it
+# replaced.  Each case runs on both kernels and must log the same.
+def entry_logger(sim, log, muted):
+    armed = {}
+
+    def fire(label):
+        if armed[label] not in muted:
+            log.append((label, sim.now))
+
+    def arm(delay, label):
+        armed[label] = entry = sim.call_later(delay, fire, label)
+        return entry
+
+    return arm
+
+
+@given(
+    st.lists(
+        st.tuples(delay_grid, st.booleans(), st.integers(min_value=0, max_value=99)),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=60)
+def test_callback_entries_and_timeouts_fire_in_scheduling_order(schedule):
+    def build(sim, log):
+        def relay(tag):
+            log.append((sim.now, "entry", tag))
+            # Re-arm from inside the slot being drained, behind its FIFO.
+            if tag % 3 == 0:
+                sim.call_later(
+                    0.5 * (tag % 2), lambda t: log.append((sim.now, "rearmed", t)), tag
+                )
+
+        for delay, as_entry, tag in schedule:
+            if as_entry:
+                sim.call_later(delay, relay, tag)
+            else:
+                t = sim.timeout(delay, value=tag)
+                t.add_callback(lambda ev: log.append((sim.now, "timeout", ev.value)))
+
+    log = assert_equivalent(build)
+    assert len([row for row in log if row[1] != "rearmed"]) == len(schedule)
+
+
+def test_cancel_a_callback_entry_alone_in_its_slot():
+    def build(sim, log, muted):
+        arm = entry_logger(sim, log, muted)
+        lone = arm(1.0, "lone")
+        sim.call_later(0.5, lambda _arg: withdraw(sim, lone, muted))
+        arm(2.0, "later")
+
+    log, slot_sim, heap_sim = run_on_both(build)
+    assert log == [("later", 2.0), ("end", 2.0)]
+    assert 1.0 not in slot_sim._slots
+    assert slot_sim.events_processed == heap_sim.events_processed - 1
+
+
+@pytest.mark.parametrize("kinds", [("entry", "entry"), ("entry", "timer"), ("timer", "entry")])
+def test_cancel_a_callback_entry_sharing_a_slot(kinds):
+    for cancelled in (0, 1):
+
+        def build(sim, log, muted):
+            arms = {"entry": entry_logger(sim, log, muted), "timer": timer_logger(sim, log, muted)}
+            pair = [arms[kind](1.0, f"{kind}{i}") for i, kind in enumerate(kinds)]
+            sim.call_later(0.5, lambda _arg: withdraw(sim, pair[cancelled], muted))
+            # Scheduled after the cancel: it queues behind the survivor.
+            sim.call_later(0.75, lambda _arg: arms["entry"](0.25, "third"))
+
+        log, slot_sim, heap_sim = run_on_both(build)
+        survivor = f"{kinds[1 - cancelled]}{1 - cancelled}"
+        assert log == [(survivor, 1.0), ("third", 1.0), ("end", 1.0)]
+        assert slot_sim.events_processed == heap_sim.events_processed - 1
+
+
+def test_cancel_after_a_callback_entry_fired_is_a_noop():
+    sim = Simulator()
+    log = []
+    entry = sim.call_later(1.0, log.append, "fired")
+    # The same instant after it fired, and a later one.
+    sim.call_later(1.0, lambda _arg: sim.cancel(entry))
+    sim.call_later(2.0, lambda _arg: sim.cancel(entry))
+    # An entry that cancels itself as it fires still runs once.
+    selfish = sim.call_later(1.5, lambda _arg: (sim.cancel(selfish), log.append("self")))
+    sim.timeout(3.0).add_callback(lambda _ev: log.append("after"))
+    sim.run()
+    sim.cancel(entry)
+    assert log == ["fired", "self", "after"]
+    assert sim.events_processed == 5
+    twice = sim.call_later(1.0, log.append, "never")
+    sim.cancel(twice)
+    sim.cancel(twice)
+    sim.run()
+    assert log == ["fired", "self", "after"] and sim.events_processed == 5
+
+
+def test_zero_delay_callback_entry_queues_behind_the_current_fifo():
+    def build(sim, log, muted):
+        def first(_arg):
+            log.append(("first", sim.now))
+            sim.call_later(0.0, lambda _arg: log.append(("zero", sim.now)))
+            ev = sim.event()
+            ev.add_callback(lambda _ev: log.append(("succeeded", sim.now)))
+            ev.succeed()
+
+        sim.call_later(1.0, first)
+        sim.call_later(1.0, lambda _arg: log.append(("second", sim.now)))
+        sim.call_later(2.0, first)
+
+    log, _, _ = run_on_both(build)
+    assert log == [
+        ("first", 1.0), ("second", 1.0), ("zero", 1.0), ("succeeded", 1.0),
+        ("first", 2.0), ("zero", 2.0), ("succeeded", 2.0), ("end", 2.0),
+    ]
+
+
+def test_events_processed_counts_each_callback_entry_once():
+    counts = []
+    for kernel in KERNELS:
+        sim = kernel()
+        for delay in (0.0, 1.0, 1.0, 2.0):
+            sim.call_later(delay, lambda _arg: None)
+        sim.run()
+        counts.append(sim.events_processed)
+    assert counts == [4, 4]
+    with pytest.raises(SchedulingError):
+        Simulator().call_later(-1.0, print)
 
 
 # ---------------------------------------------------------------- invariants
