@@ -1,22 +1,18 @@
 #!/usr/bin/env python3
 """Tour of the discrete-event kernel the whole reproduction runs on.
 
-``repro.simcore`` is a self-contained, dependency-free DES library
-(generator processes, events, stores, resources, time-weighted telemetry).
-This walkthrough builds a tiny M/D/c-style system from scratch — producers,
-a bounded queue, parallel servers, a monitor — the same primitives the
-storage and framework simulators compose.
+``repro.simcore`` is a self-contained DES library (generator processes,
+events, stores, resources); ``repro.telemetry`` adds the time-weighted
+gauge that integrates a value over simulated time.  This walkthrough
+builds a tiny M/D/c-style system from scratch — producers, a bounded
+queue, parallel servers, a monitor — the same primitives the storage and
+framework simulators compose.
 
 Run:  python examples/simcore_tour.py
 """
 
-from repro.simcore import (
-    Interrupt,
-    RandomStreams,
-    Simulator,
-    Store,
-    TimeWeightedGauge,
-)
+from repro.simcore import Interrupt, RandomStreams, Simulator, Store
+from repro.telemetry import TimeWeightedGauge
 
 ARRIVALS = 200
 SERVERS = 3
@@ -41,8 +37,10 @@ def main() -> None:
         while True:
             job_id, arrived = yield queue.get()
             busy.increment()
-            yield sim.timeout(SERVICE_TIME)
-            busy.decrement()
+            try:
+                yield sim.timeout(SERVICE_TIME)
+            finally:
+                busy.decrement()  # an interrupted job frees its server too
             completed.append((job_id, sim.now - arrived))
 
     # 2) A watchdog process shows interrupts: stop the slow servers at t=55.

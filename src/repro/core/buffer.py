@@ -81,7 +81,9 @@ class PrefetchBuffer:
         #: a repeat request for one of these would block forever)
         self._consumed: Set[str] = set()
         self.counters = CounterSet(sim.metrics, "prefetch", name)
-        #: time-weighted occupancy, consumed by the control loop
+        #: time-weighted occupancy, for analysis: the property tests bound
+        #: its maximum by the capacity.  The control policy reads the
+        #: instantaneous ``level`` (``buffer_level`` in each snapshot).
         self.occupancy = TimeWeightedGauge(sim, 0, name=f"{name}.occupancy")
 
     # -- capacity --------------------------------------------------------------
@@ -117,7 +119,7 @@ class PrefetchBuffer:
         if isinstance(payload, Exception):
             self.counters.add("insert_errors")
         else:
-            self.counters.add("inserts")
+            self.counters.inserts.value += 1
         tel = self.sim.telemetry
         span = None
         if tel is not None:
@@ -140,8 +142,9 @@ class PrefetchBuffer:
                 tel.end(span, ok=False)
 
         # The store's own event, with the bookkeeping as its first callback:
-        # no relay event between the store and the producer.
-        put.add_callback(settled)
+        # no relay event between the store and the producer.  The put was
+        # made in this call, so it has not fired yet.
+        put.callbacks.append(settled)
         return put
 
     # -- consumer side ------------------------------------------------------------
@@ -184,7 +187,10 @@ class PrefetchBuffer:
                 )
             )
             return False, done
-        self.counters.add("hits" if hit else "waits")
+        if hit:
+            self.counters.hits.value += 1
+        else:
+            self.counters.waits.value += 1
         wait_span = None
         if tel is not None:
             tel.instant("buffer.hit" if hit else "buffer.wait", self.name, "buffer", path=path)
@@ -211,7 +217,7 @@ class PrefetchBuffer:
             elif wait_span is not None:
                 tel.end(wait_span, ok=False)
 
-        get.add_callback(settled)
+        get.callbacks.append(settled)
         return hit, get
 
     # -- statistics --------------------------------------------------------------

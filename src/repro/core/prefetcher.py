@@ -13,16 +13,26 @@ prefetcher ("its number is oblivious to PRISMA").
 
 The queue, the producer counts and the clairvoyant cross-epoch lookahead
 are :class:`~repro.core.filename_queue.PrefetchCore`'s, shared with the
-live plane; this module drives them with simulation processes.
+live plane; this module drives them with simulation callbacks.  Each
+producer is a :class:`_Producer`, a callback chain — claim, read, insert,
+settle, repeat — that starts from a zero-delay kernel entry and appends
+its next step to the event it waits on: the positions at which a
+generator process would bootstrap and resume, without the process.
 
 Fault tolerance (the graceful-degradation half of the data plane):
 
-* **Producer supervision.**  Every producer process is joined by a
-  supervisor callback.  A producer that dies abnormally (e.g. a
-  fault-injected crash) has its in-flight path *requeued* — the path was
-  dequeued but never staged, so without recovery the consumer waiting on
-  it would hang forever — and a replacement producer is spawned while work
-  remains (``producer_respawns`` counts these).
+* **Producer supervision.**  :meth:`ParallelPrefetcher.crash_producer`
+  kills a producer where it waits, in the kernel hops an interrupted
+  process takes: a wake-up entry in which the victim dies (its fetch span
+  closes as ``crashed``), then the supervisor's entry, which counts the
+  crash, *requeues* the victim's claimed but unstaged path at the front
+  of the FIFO — without recovery the consumer waiting on it would hang
+  forever — and starts a replacement while work remains
+  (``producer_respawns`` counts these).  A crash at insert loses
+  nothing: the buffer already owns the queued insert.  A producer
+  crashed before it started still claims its path and issues the read
+  before it dies, as an interrupt delivered at a process's first wait
+  would.
 * **Serve-side retry.**  A staged :class:`TransientReadError` (the
   retryable storage error class) is not surfaced to the consumer
   immediately: the serve path re-reads the file directly from the backend
@@ -35,7 +45,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
-from ..simcore.errors import Interrupt, ProcessError
+from ..simcore.errors import ProcessError
 from ..simcore.event import Event
 from ..telemetry import TimeWeightedGauge
 from ..storage.filesystem import TransientReadError
@@ -45,8 +55,9 @@ from .optimization import MetricsSnapshot, OptimizationObject
 from .schedule import LookaheadSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..simcore.kernel import Process, Simulator
+    from ..simcore.kernel import Simulator
     from ..storage.backend import SampleSource
+    from ..telemetry import Span, Telemetry
 
 
 def _storage_error(exc: BaseException) -> Exception:
@@ -60,12 +71,145 @@ def _storage_error(exc: BaseException) -> Exception:
     return cause if isinstance(cause, Exception) else ProcessError(repr(exc))
 
 
+class _Producer:
+    """One producer thread as a callback chain: claim, read, insert, settle.
+
+    :meth:`step` claims a path and issues its read, :meth:`landed` stages
+    the outcome, :meth:`inserted` loops back to :meth:`step` once the
+    buffer admits it, and a producer with nothing to claim retires.  Each
+    step is appended to the event it waits on, ``waiting``, where a
+    generator process appended its resume, and the first one runs from a
+    zero-delay entry, where the process bootstrap sat; so every event
+    fires at the time and FIFO position it did with producer processes.
+    While the producer holds a claim (``worker_id in _in_flight``) it
+    waits on its read, else on its insert.
+    """
+
+    __slots__ = ("pf", "worker_id", "path", "tel", "fetch", "waiting", "crashed")
+
+    def __init__(self, pf: "ParallelPrefetcher", worker_id: int) -> None:
+        self.pf = pf
+        self.worker_id = worker_id
+        self.path = ""
+        self.tel: Optional["Telemetry"] = None
+        self.fetch: Optional["Span"] = None
+        #: the event the next step waits on (None until the first read)
+        self.waiting: Optional[Event] = None
+        #: a crash is on its way: the producer dies at its next wait
+        self.crashed = False
+
+    def step(self, _arg: None = None) -> None:
+        """Claim the next path and read it, or retire."""
+        pf = self.pf
+        worker_id = self.worker_id
+        path = pf._claim(worker_id)
+        if path is None:
+            self._exit()  # parked, or drained; respawned on the next on_epoch()
+            return
+        pf.active_producers.increment()
+        self.path = path
+        tel = self.tel = pf.sim.telemetry
+        if tel is not None:
+            self.fetch = tel.begin(
+                "prefetch.fetch", f"{pf.name}.p{worker_id}", "prefetcher", path=path
+            )
+        try:
+            read = pf.backend.read_whole(path)
+        except Exception as exc:  # noqa: BLE001 - refused at once: staged all the same
+            self.landed(None, exc)
+            return
+        if self.crashed:
+            self._die(True)  # crashed before it started: it dies at this first wait
+            return
+        callbacks = read.callbacks
+        if callbacks is None:  # already processed: continue at once
+            self.landed(read)
+        else:
+            self.waiting = read
+            callbacks.append(self.landed)
+
+    def landed(self, read: Optional[Event], exc: Optional[Exception] = None) -> None:
+        """Stage the read's bytes, or its error, then await the insert.
+
+        ``exc`` is the error of a read that failed as it was issued, with
+        no event to wait on.
+        """
+        pf = self.pf
+        fetch = self.fetch
+        if read is not None:
+            try:
+                payload = nbytes = read.value
+            except Exception as failure:  # noqa: BLE001 - deliver, don't die
+                exc = failure
+        if exc is not None:
+            # A failed read must reach the consumer waiting for this path
+            # (or it would block forever); stage the exception — the
+            # buffer's documented staged-error contract.
+            pf.read_errors += 1
+            payload, nbytes = _storage_error(exc), None
+            if fetch is not None:
+                self.tel.end(fetch, outcome="error", error=type(payload).__name__)
+        pf.active_producers.decrement()
+        if fetch is not None and nbytes is not None:
+            self.tel.end(fetch, outcome="ok", bytes=nbytes)
+        insert = pf.buffer.insert(self.path, payload)
+        # Commit point: the buffer owns the (queued) insert from here, so
+        # a crash past this line loses nothing.
+        pf._settle(self.worker_id, nbytes)
+        if self.crashed:
+            self._die(False)  # its first wait, after a read that failed at once
+            return
+        callbacks = insert.callbacks
+        if callbacks is None:
+            self.inserted(insert)
+        else:
+            self.waiting = insert
+            callbacks.append(self.inserted)
+
+    def inserted(self, insert: Event) -> None:
+        if insert.ok:
+            self.step()
+        else:
+            self._die(False)  # a refused insert kills the producer, as it did a process
+
+    # -- crashes ------------------------------------------------------------------
+    def interrupt(self) -> None:
+        """Kill the producer where it waits, one kernel entry from now."""
+        if self.crashed:
+            return  # a crash is pending already: this one finds it dead
+        self.crashed = True
+        waiting = self.waiting
+        if waiting is None or waiting.callbacks is None:
+            return  # not started, or its next step runs now: it dies at its next wait
+        reading = self.worker_id in self.pf._in_flight
+        waiting.callbacks.remove(self.landed if reading else self.inserted)
+        self.pf.sim.call_later(0, self._die, reading)
+
+    def _die(self, reading: bool) -> None:
+        """Die on the read (``reading``) or the insert it waits on; the
+        supervisor reaps the producer one kernel entry later."""
+        pf = self.pf
+        if reading:
+            if self.fetch is not None:
+                self.tel.end(self.fetch, outcome="crashed")
+            pf.active_producers.decrement()
+        self._exit()
+        pf.sim.call_later(0, pf._reap_crashed, self.worker_id)
+
+    def _exit(self) -> None:
+        """Leave the live producers, retired or dead."""
+        pf = self.pf
+        del pf._producers[self.worker_id]
+        pf._live_producers -= 1
+        pf.allocated_producers.set(pf._live_producers)
+
+
 class ParallelPrefetcher(PrefetchCore, OptimizationObject):
     """Parallel read-ahead into a bounded in-memory buffer.
 
     The simulated driver of :class:`~repro.core.filename_queue.PrefetchCore`:
-    producers are kernel processes, supervised for crashes, and the serve
-    path retries staged transient errors.
+    producers are callback chains (:class:`_Producer`), supervised for
+    crashes, and the serve path retries staged transient errors.
 
     Parameters
     ----------
@@ -112,8 +256,8 @@ class ParallelPrefetcher(PrefetchCore, OptimizationObject):
         )
         self.max_read_retries = max_read_retries
         self.retry_backoff = retry_backoff
-        #: live producer processes, for supervision and crash injection
-        self._procs: Dict[int, "Process"] = {}
+        #: live producers by worker id, for crash injection
+        self._producers: Dict[int, _Producer] = {}
         #: producers currently blocked in a backend read (paper Fig. 3 input)
         self.active_producers = TimeWeightedGauge(sim, 0, name=f"{name}.active")
         #: producers alive (reading, inserting, or between files)
@@ -147,81 +291,36 @@ class ParallelPrefetcher(PrefetchCore, OptimizationObject):
         self._spawn_up_to_target()
 
     def _spawn_up_to_target(self) -> None:
+        sim = self.sim
         for worker_id in self._grow_producers():
-            proc = self.sim.process(
-                self._producer(worker_id), name=f"{self.name}.p{worker_id}"
-            )
-            self._procs[worker_id] = proc
-            proc.add_callback(lambda p, wid=worker_id: self._on_producer_exit(wid, p))
+            producer = self._producers[worker_id] = _Producer(self, worker_id)
+            sim.call_later(0, producer.step)
         self.allocated_producers.set(self._live_producers)
 
     # -- fault injection / supervision ------------------------------------------------
     def crash_producer(self, cause: object = "fault-injection") -> bool:
         """Kill one live producer thread (lowest worker id, for determinism).
 
-        Returns whether a producer was actually crashed.  The supervisor
-        requeues the victim's in-flight path and respawns a replacement.
+        Returns whether a producer was actually crashed.  The victim dies
+        where it waits, in a kernel entry of its own (one not started yet
+        dies at its first wait), and counts as live until then, so a
+        second crash in between finds it again and is lost.  The
+        supervisor then requeues its in-flight path and respawns a
+        replacement.  ``cause`` labels the crash for the caller; nothing
+        records it.
         """
-        for worker_id in sorted(self._procs):
-            proc = self._procs[worker_id]
-            if proc.is_alive:
-                proc.interrupt(cause)
-                return True
-        return False
+        if not self._producers:
+            return False
+        self._producers[min(self._producers)].interrupt()
+        return True
 
-    def _on_producer_exit(self, worker_id: int, proc: Event) -> None:
-        """Supervisor: reap a finished producer; recover from crashes."""
-        self._procs.pop(worker_id, None)
-        if proc.ok:
-            return  # normal exit: parked or epoch drained
+    def _reap_crashed(self, worker_id: int) -> None:
+        """Supervisor: count a crash, requeue its claim, replace it."""
         self.producer_crashes += 1
         self._release(worker_id)
         if self._wants_producer():
             self.producer_respawns += 1
             self._spawn_up_to_target()
-
-    def _producer(self, worker_id: int):
-        """One producer thread: claim, read, stage, settle, repeat."""
-        try:
-            while True:
-                path = self._claim(worker_id)
-                if path is None:
-                    return  # parked, or drained; respawned on next on_epoch()
-                self.active_producers.increment()
-                tel = self.sim.telemetry
-                fetch = None
-                if tel is not None:
-                    fetch = tel.begin(
-                        "prefetch.fetch", f"{self.name}.p{worker_id}", "prefetcher", path=path
-                    )
-                try:
-                    payload = nbytes = yield self.backend.read_whole(path)
-                except Interrupt:
-                    # Crash injection: die without staging; the supervisor
-                    # requeues the in-flight path and respawns.
-                    if fetch is not None:
-                        tel.end(fetch, outcome="crashed")
-                    raise
-                except Exception as exc:  # noqa: BLE001 - deliver, don't die
-                    # A failed read must reach the consumer waiting for this
-                    # path (or it would block forever); stage the exception —
-                    # the buffer's documented staged-error contract.
-                    self.read_errors += 1
-                    payload, nbytes = _storage_error(exc), None
-                    if fetch is not None:
-                        tel.end(fetch, outcome="error", error=type(payload).__name__)
-                finally:
-                    self.active_producers.decrement()
-                if fetch is not None and nbytes is not None:
-                    tel.end(fetch, outcome="ok", bytes=nbytes)
-                insert = self.buffer.insert(path, payload)
-                # Commit point: the buffer owns the (queued) insert from
-                # here, so a crash past this line loses nothing.
-                self._settle(worker_id, nbytes)
-                yield insert
-        finally:
-            self._live_producers -= 1
-            self.allocated_producers.set(self._live_producers)
 
     # -- data path --------------------------------------------------------------
     def serve(self, path: str) -> Optional[Event]:
@@ -251,13 +350,14 @@ class ParallelPrefetcher(PrefetchCore, OptimizationObject):
                 tel.end(serve_span, ok=ev.ok)
                 self._serve_latency.observe(self.sim.now - start)
 
-            done.add_callback(record_serve)
+            done.callbacks.append(record_serve)
 
         def after_fetch(ev: Event) -> None:
-            if not ev.ok:
-                done.fail(ev.exception)
+            try:
+                nbytes = ev.value
+            except Exception as exc:  # noqa: BLE001 - the serve fails with it
+                done.fail(exc)
                 return
-            nbytes = ev.value
             if isinstance(nbytes, Exception):
                 # A producer staged its read failure for this path.
                 if self.max_read_retries > 0 and isinstance(nbytes, TransientReadError):
@@ -272,11 +372,12 @@ class ParallelPrefetcher(PrefetchCore, OptimizationObject):
             # The copy-out: ``done`` itself fires when it ends.
             done.succeed_after(HIT_OVERHEAD + nbytes / MEMORY_BANDWIDTH, nbytes)
 
-        fetched.add_callback(after_fetch)
+        # Both events were made in this call, so neither has fired yet.
+        fetched.callbacks.append(after_fetch)
         if self.schedule is not None and self.lookahead_epochs > 0:
             # Each serve evicts a sample, opening buffer slack: resume
             # cross-epoch fetching if producers parked on a full buffer.
-            done.add_callback(lambda _ev: self._spawn_up_to_target())
+            done.callbacks.append(lambda _ev: self._spawn_up_to_target())
         return done
 
     def _retry_read(self, path: str, first_exc: Exception, done: Event):

@@ -123,22 +123,23 @@ class PrismaStage(PosixLike):
         for opt in self.optimizations:
             event = opt.serve(path)
             if event is not None:
-                self.counters.add("optimized_reads")
-                return self._timed(event)
-        self.counters.add("fallback_reads")
-        return self._timed(self.backend.read_whole(path))
+                self.counters.optimized_reads.value += 1
+                break
+        else:
+            self.counters.add("fallback_reads")
+            event = self.backend.read_whole(path)
+        if self.latency_recorder is not None:
+            self._timed(event)
+        return event
 
-    def _timed(self, event: Event) -> Event:
-        """Feed per-request service time to the latency recorder, if any."""
-        if self.latency_recorder is None:
-            return event
+    def _timed(self, event: Event) -> None:
+        """Feed the request's service time to the latency recorder."""
         start = self.sim.now
         event.add_callback(
             lambda ev: self.latency_recorder.record(self.sim.now, self.sim.now - start)
             if ev.ok
             else None
         )
-        return event
 
     def pread(self, fd: int, length: int, offset: int) -> Event:
         """Positional read — the call TensorFlow's integration replaces.
@@ -168,7 +169,9 @@ class PrismaStage(PosixLike):
         return chain_result(inner, done, advance)
 
     def read_whole(self, path: str) -> Event:
-        self.counters.add("reads")
+        self.counters.reads.value += 1
+        if self.sim.telemetry is None:
+            return self._route_whole(path)  # untraced: no root span to open
         return self._serve_whole(path)
 
     # -- helpers ---------------------------------------------------------------
@@ -177,7 +180,7 @@ class PrismaStage(PosixLike):
         done = Event(self.sim, name=self._pread_name)
         inner = self._serve_whole(path)
         chain_result(inner, done, lambda nbytes: min(nbytes, length))
-        self.counters.add("reads")
+        self.counters.reads.value += 1
         return done
 
     def _backend_pread(self, path: str, length: int, offset: int) -> Event:

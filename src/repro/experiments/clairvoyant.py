@@ -23,7 +23,7 @@ policy's doing.  The report is deterministic: same seed → byte-identical
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core import (
     LookaheadSchedule,

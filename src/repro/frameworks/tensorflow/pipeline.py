@@ -188,7 +188,12 @@ class TFDataPipeline(DataSource):
         self._cursor = cursor + 1
         unit = self._reading[r] = order[cursor]
         self.active_readers.increment()
-        self.posix.read_whole(self.catalog.path(unit)).add_callback(self._landed[r])
+        read = self.posix.read_whole(self.catalog.path(unit))
+        callbacks = read.callbacks
+        if callbacks is None:  # already processed (add_callback's rule, inline)
+            self._landed[r](read)
+        else:
+            callbacks.append(self._landed[r])
 
     def _on_read(self, r: int, ev: Event) -> None:
         if not ev.ok:

@@ -16,7 +16,7 @@ rows from a running control plane's telemetry.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core import PrismaConfig, StaticPolicy, build_prisma
 from ..core.integrations import PrismaTensorFlowPipeline

@@ -81,7 +81,8 @@ class _Call:
     ``arg`` and ``_at`` (the timestamp it fires at, where
     :meth:`Simulator.cancel` finds it) itself: timers are the kernel's
     highest-volume entries.  ``fn`` is None once the entry fired or was
-    cancelled.
+    cancelled.  :meth:`Simulator.run` and :meth:`Simulator.step` make the
+    call themselves, as ``_process`` does, without a frame for it.
     """
 
     __slots__ = ("fn", "arg", "_at")
@@ -423,7 +424,12 @@ class Simulator:
             if event.__class__ is deque:
                 self._now_queue = q = event
                 event = q.popleft()
-        event._process()
+        if event.__class__ is _Call:
+            fn = event.fn
+            event.fn = None
+            fn(event.arg)
+        else:
+            event._process()
         self.events_processed += 1
         if self._defunct:
             raise self._defunct.pop(0)
@@ -462,6 +468,7 @@ class Simulator:
         slots = self._slots
         defunct = self._defunct
         pop_time = heapq.heappop
+        call_entry = _Call
         processed = 0
         try:
             while True:
@@ -485,7 +492,13 @@ class Simulator:
                         event = q.popleft()
                     # else a lone event: it fires straight from its slot,
                     # ahead of whatever it schedules for now.
-                event._process()
+                if event.__class__ is call_entry:
+                    # A timer entry's call, without its _process frame.
+                    fn = event.fn
+                    event.fn = None
+                    fn(event.arg)
+                else:
+                    event._process()
                 processed += 1
                 if defunct:
                     raise defunct.pop(0)

@@ -161,8 +161,10 @@ class Store:
     item in; ``get()`` returns an event that triggers with the oldest item.
     Both queue FIFO, giving fair producer/consumer semantics.
 
-    Stats: ``peak_items`` and time-weighted ``area`` (item-seconds) enable
-    occupancy analysis, which PRISMA's control loop consumes.
+    Stats: ``peak_items`` and the time-weighted ``area`` (item-seconds)
+    behind :meth:`mean_occupancy`; only tests read them.  PRISMA's control
+    loop reads neither: its policy sees the prefetch buffer's
+    instantaneous level, in each metrics snapshot.
     """
 
     def __init__(self, sim: "Simulator", capacity: float = float("inf"), name: str = "store") -> None:

@@ -297,7 +297,9 @@ class BlockDevice:
         """
         sim = self.sim
         tel = sim.telemetry
-        lat = self._latency(latency)
+        # A positive latency without jitter is used as given (_latency's
+        # common case, without its frame).
+        lat = latency if latency > 0 and self._latency_rng is None else self._latency(latency)
         if lat <= 0 and tel is None:
             return channel.transfer(nbytes, weight, event=done, value=value)
         if done is None:

@@ -34,7 +34,6 @@ from .fluid import FairShareChannel, saturating_capacity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.kernel import Simulator
-    from ..simcore.random import RandomStreams
 
 
 class StorageTarget:

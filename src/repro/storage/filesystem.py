@@ -178,7 +178,10 @@ class Filesystem:
         :class:`~repro.simcore.errors.ProcessError` whose ``__cause__`` is
         the storage error.
         """
-        meta = self.stat(path)
+        try:  # stat, inline: one frame fewer per read
+            meta = self._files[path]
+        except KeyError:
+            raise FileNotFound(path) from None
         if offset < 0:
             raise InvalidRead(f"negative offset {offset} for {path!r}")
         end = meta.size if length is None else min(offset + max(length, 0), meta.size)

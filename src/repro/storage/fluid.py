@@ -24,7 +24,10 @@ The arithmetic is a contract (DESIGN §4): each transfer advances by
 of ``remaining / (rate * weight / total_w)``, both in active-set order;
 ``total_w`` is ``sum`` over the active weights, and ``B(k)`` is memoised
 per curve.  Every completion time is therefore the same float as the
-straightforward per-use evaluation gives.
+straightforward per-use evaluation gives.  An arrival (``transfer``) and
+the completion timer each run their whole step — advance, admit or
+settle, recompute, re-arm — in one frame: they run once or twice per
+storage read.
 """
 
 from __future__ import annotations
@@ -76,6 +79,19 @@ def constant_capacity(rate: float) -> Callable[[int], float]:
     if rate <= 0:
         raise ValueError("rate must be positive")
     return lambda k: rate if k > 0 else 0.0
+
+
+def _clamp(horizon: float, now: float) -> float:
+    """A completion horizon, raised to 4 ULPs of the clock.
+
+    A sub-ULP horizon (a byte-scale residual on a multi-GB/s channel)
+    would re-arm at the *same* simulated instant forever; over-shooting is
+    harmless, since the advance floors remaining at zero.  The clamp is at
+    most 2**-50 of the clock (or of 1e-9), so the channel calls this only
+    for a horizon below 1e-15 of it: any larger one is returned unchanged.
+    """
+    min_step = 4.0 * math.ulp(max(now, 1e-9))
+    return min_step if min_step > horizon else horizon
 
 
 class _ActiveTransfer:
@@ -183,17 +199,43 @@ class FairShareChannel:
         if nbytes == 0:
             event.succeed(elapsed if value is None else value)
             return event
+        now = sim.now
         entry = _ActiveTransfer(
-            next(self._ids), float(nbytes), float(weight), event, sim.now, elapsed, value
+            next(self._ids), float(nbytes), float(weight), event, now, elapsed, value
         )
-        self._advance()
+        # Advance, admit, recompute and re-arm, as the timer does (DESIGN §4).
         active = self._active
+        rate = self._rate
+        total_w = self._total_w
+        dt = now - self._last_update
+        self._last_update = now
+        if dt > 0 and total_w > 0:  # total_w is 0.0 exactly when none is active
+            for other in active.values():
+                remaining = other.remaining - rate * (other.weight / total_w) * dt
+                other.remaining = 0.0 if remaining < 0.0 else remaining
         if len(active) < self.max_concurrency:
             active[entry.ident] = entry
-            self._active_changed()
+            k = len(active)
+            self.concurrency.set(k)
+            rate = self._rates.get(k)
+            if rate is None:
+                rate = self._rates[k] = self.capacity_fn(k)
+            self._rate = rate
+            self._total_w = total_w = sum(map(_weight_of, active.values()))
         else:
             self._pending.append(entry)
-        self._reschedule()
+        if self._timer is not None:
+            sim.cancel(self._timer)
+        if rate <= 0:
+            raise SimulationError(f"channel {self.name!r} has zero rate with active transfers")
+        horizon = _INF
+        for other in active.values():
+            until_done = other.remaining / (rate * other.weight / total_w)
+            if until_done < horizon:
+                horizon = until_done
+        if horizon < 1e-15 * (now if now > 1e-9 else 1e-9):
+            horizon = _clamp(horizon, now)
+        self._timer = sim.call_later(horizon, self._on_timer)
         return event
 
     def set_capacity_fn(self, capacity_fn: Callable[[int], float]) -> None:
@@ -203,98 +245,78 @@ class FairShareChannel:
         then continue under the new one — modelling a device slowdown, a
         neighbour stealing bandwidth, or a failed-over network path.
         """
-        self._advance()
         self.capacity_fn = capacity_fn
         self._rates.clear()
-        self._active_changed()
-        self._reschedule()
+        self._on_timer(True)
 
     @property
     def active_count(self) -> int:
         return len(self._active)
 
     # -- internals --------------------------------------------------------------
-    def _active_changed(self) -> None:
-        """Recompute B(k) and the total weight for the current active set."""
+    def _on_timer(self, recurve: Optional[bool]) -> None:
+        """Advance every transfer to now, settle the finished ones, admit
+        queued ones, recompute ``B(k)`` and the total weight, and re-arm.
+
+        The timer calls it with None.  :meth:`set_capacity_fn` calls it
+        with ``recurve`` set: it settles nothing, recomputes under the new
+        curve, and re-arms in place of the pending timer, which would fire
+        into an outdated schedule and do nothing.
+        """
+        sim = self.sim
+        now = sim.now
+        if recurve and self._timer is not None:
+            sim.cancel(self._timer)
+        self._timer = None  # fired, or cancelled: nothing left to cancel
         active = self._active
-        k = len(active)
-        self.concurrency.set(k)
-        if active:
+        rate = self._rate
+        total_w = self._total_w
+        dt = now - self._last_update
+        self._last_update = now
+        if dt > 0 and total_w > 0:
+            for entry in active.values():
+                remaining = entry.remaining - rate * (entry.weight / total_w) * dt
+                entry.remaining = 0.0 if remaining < 0.0 else remaining
+        changed = recurve
+        if not changed:
+            finished = [entry for entry in active.values() if entry.remaining <= _EPSILON]
+            if finished:
+                changed = True
+                for entry in finished:
+                    del active[entry.ident]
+                    self.bytes_served += entry.nbytes
+                    self.transfers_completed += 1
+                    value = entry.value
+                    if value is None:
+                        value = entry.elapsed + (now - entry.started_at)
+                    entry.event.succeed(value)
+                pending = self._pending
+                while pending and len(active) < self.max_concurrency:
+                    entry = pending.pop(0)
+                    active[entry.ident] = entry
+        if changed:
+            k = len(active)
+            self.concurrency.set(k)
+            if not active:
+                self._rate = self._total_w = 0.0
+                return
             rate = self._rates.get(k)
             if rate is None:
                 rate = self._rates[k] = self.capacity_fn(k)
             self._rate = rate
-            self._total_w = sum(map(_weight_of, active.values()))
-        else:
-            self._rate = self._total_w = 0.0
-
-    def _advance(self) -> None:
-        """Progress all active transfers from ``_last_update`` to now."""
-        now = self.sim.now
-        dt = now - self._last_update
-        self._last_update = now
-        if dt <= 0 or not self._active:
+            self._total_w = total_w = sum(map(_weight_of, active.values()))
+        elif not active:
             return
-        rate = self._rate
-        total_w = self._total_w
-        if total_w <= 0:
-            return
-        for entry in self._active.values():
-            remaining = entry.remaining - rate * (entry.weight / total_w) * dt
-            entry.remaining = 0.0 if remaining < 0.0 else remaining
-
-    def _reschedule(self) -> None:
-        """(Re)arm the completion timer for the earliest-finishing transfer.
-
-        The timer it supersedes is cancelled: it would fire into an
-        outdated schedule and do nothing.
-        """
-        sim = self.sim
-        if self._timer is not None:
-            sim.cancel(self._timer)
-            self._timer = None
-        if not self._active:
-            return
-        rate = self._rate
         if rate <= 0:
             raise SimulationError(f"channel {self.name!r} has zero rate with active transfers")
-        total_w = self._total_w
         horizon = _INF
-        for entry in self._active.values():
+        for entry in active.values():
             until_done = entry.remaining / (rate * entry.weight / total_w)
             if until_done < horizon:
                 horizon = until_done
-        # Clamp to a few ULPs of the clock: a sub-ULP horizon (a byte-scale
-        # residual on a multi-GB/s channel) would re-arm at the *same*
-        # simulated instant forever.  Over-shooting is harmless — _advance
-        # floors remaining at zero.
-        min_step = 4.0 * math.ulp(max(sim.now, 1e-9))
-        self._timer = sim.call_later(
-            min_step if min_step > horizon else horizon, self._on_timer
-        )
-
-    def _on_timer(self, _arg: None) -> None:
-        """Settle every finished transfer, admit queued ones, re-arm."""
-        self._timer = None  # it fired: nothing left to cancel
-        self._advance()
-        active = self._active
-        finished = [entry for entry in active.values() if entry.remaining <= _EPSILON]
-        if finished:
-            now = self.sim.now
-            for entry in finished:
-                del active[entry.ident]
-                self.bytes_served += entry.nbytes
-                self.transfers_completed += 1
-                value = entry.value
-                if value is None:
-                    value = entry.elapsed + (now - entry.started_at)
-                entry.event.succeed(value)
-            pending = self._pending
-            while pending and len(active) < self.max_concurrency:
-                entry = pending.pop(0)
-                active[entry.ident] = entry
-            self._active_changed()
-        self._reschedule()
+        if horizon < 1e-15 * (now if now > 1e-9 else 1e-9):
+            horizon = _clamp(horizon, now)
+        self._timer = sim.call_later(horizon, self._on_timer)
 
     def __repr__(self) -> str:
         return (

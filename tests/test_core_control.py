@@ -6,7 +6,6 @@ from repro.core import (
     AutotuneParams,
     ControlChannel,
     Controller,
-    ParallelPrefetcher,
     PrismaAutotunePolicy,
     PrismaConfig,
     PrismaStage,
@@ -18,7 +17,7 @@ from repro.core.control import MetricsHistory, OscillationDampedPolicy
 from repro.core.optimization import MetricsSnapshot
 from repro.dataset import tiny_dataset
 from repro.simcore import RandomStreams, Simulator
-from repro.storage import BlockDevice, Filesystem, PosixLayer, ramdisk, sata_hdd
+from repro.storage import BlockDevice, Filesystem, PosixLayer, sata_hdd
 
 
 def snap(

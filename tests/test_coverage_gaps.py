@@ -1,6 +1,5 @@
 """Coverage for corners the main suites don't reach."""
 
-import numpy as np
 import pytest
 
 from repro.core.integrations import PrismaUDSServer, PrismaTorchClient

@@ -1,7 +1,5 @@
 """Tests for the §VII extension runners and their CLI commands."""
 
-import pytest
-
 from repro.experiments.extensions import (
     format_distributed_sweep,
     format_latency,

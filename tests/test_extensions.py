@@ -3,7 +3,7 @@ seek serialization, error propagation, validation prefetching."""
 
 import pytest
 
-from repro.core import ParallelPrefetcher, PrismaStage, build_prisma
+from repro.core import ParallelPrefetcher
 from repro.dataset import (
     DatasetCatalog,
     EpochShuffler,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataset import DatasetCatalog, EpochShuffler, SequentialOrder, tiny_dataset
+from repro.dataset import EpochShuffler, SequentialOrder, tiny_dataset
 from repro.frameworks import GpuEnsemble, LENET, Trainer, TrainingConfig
 from repro.frameworks.pytorch import TorchDataLoader
 from repro.frameworks.tensorflow import (

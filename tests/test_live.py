@@ -1,6 +1,5 @@
 """Tests for the live (real-threads, real-files) PRISMA implementation."""
 
-import os
 import random
 import sys
 import threading

@@ -21,7 +21,7 @@ from repro.core import (
     TuningSettings,
     build_prisma,
 )
-from repro.core.control import Controller, OscillationDampedPolicy
+from repro.core.control import OscillationDampedPolicy
 from repro.core.optimization import MetricsSnapshot
 from repro.perfmodel import (
     ModelSchemaError,

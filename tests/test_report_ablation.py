@@ -1,7 +1,5 @@
 """Tests for report formatting and the ablation module."""
 
-import pytest
-
 from repro.experiments import ExperimentScale
 from repro.experiments.ablation import (
     AblationPoint,

@@ -142,7 +142,7 @@ def test_invalid_arguments_rejected():
 
 def test_throughput_matches_analytic_model():
     """Simulated per-stream throughput equals the closed-form prediction."""
-    from repro.storage import KiB, MiB, intel_p4600
+    from repro.storage import KiB, intel_p4600
     from repro.storage.device import BlockDevice
 
     prof = intel_p4600()

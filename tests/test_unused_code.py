@@ -9,6 +9,12 @@ defined has no caller and no reader: it is dead, and goes.  Dunders are
 reached by the interpreter, not by name, and are skipped.
 
 The change logs (CHANGES, ROADMAP) do not count: they name deleted code.
+
+A second scan reads every module of the package, the tests, the
+benchmarks and the examples: a name a module imports and never names in
+its code (a string annotation counts) is a dead import, and goes too.  A
+package ``__init__.py`` re-exports what it imports, and a name in a
+module's ``__all__`` is exported, so neither counts as dead.
 """
 
 import ast
@@ -24,6 +30,10 @@ DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "benchmarks/suite/README.md"
 #: in the repository reaches yet, and names reached only through a string
 #: (``getattr``, a registry key).  Each entry says why it stays.
 ALLOWED = {}
+
+#: ``"path:name"`` imports the import scan may flag and that stay (an import
+#: made for its side effect, say), each with its reason.
+ALLOWED_IMPORTS = {}
 
 
 #: a module constant's name
@@ -93,3 +103,79 @@ def test_every_function_the_package_defines_is_used():
     assert dead == {}, f"defined but never used (delete, or allow with a reason): {dead}"
     # An allowed name that found a caller, or was deleted, leaves the list.
     assert set(ALLOWED) <= set(unused)
+
+
+def annotation_names(node):
+    """Every name an annotation uses, inside quoted annotations too."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= annotation_names(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def unused_imports(path):
+    """``{name: line}`` of the names ``path`` imports and never names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            named |= annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            named |= annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            named |= annotation_names(node.annotation)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            named |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return {name: line for name, line in imported.items() if name not in named}
+
+
+def dead_imports():
+    return {
+        f"{path.relative_to(ROOT)}:{name}": line
+        for top in ("src", "tests", "benchmarks", "examples")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if path.name != "__init__.py"
+        for name, line in unused_imports(path).items()
+    }
+
+
+def test_the_import_scan_reads_quoted_annotations_and_all(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from typing import TYPE_CHECKING, Optional\n"
+        "from os import path, sep\n"
+        "import collections.abc\n"
+        "if TYPE_CHECKING:\n"
+        "    from x import Sim\n"
+        "__all__ = ['sep']\n"
+        "def f(sim: 'Optional[Sim]') -> None:\n"
+        "    return collections.abc\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(module) == {"path": 2}
+
+
+def test_every_import_is_used():
+    dead = {key: line for key, line in dead_imports().items() if key not in ALLOWED_IMPORTS}
+    assert dead == {}, f"imported but never named (delete, or allow with a reason): {dead}"
+    assert set(ALLOWED_IMPORTS) <= set(dead_imports())
