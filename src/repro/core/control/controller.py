@@ -61,10 +61,12 @@ class Controller:
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=3, base_delay=period / 20, max_delay=period / 4, budget=period
         )
+        # The closures capture ``sim``, not ``self``: a controller held by
+        # its own cycle would outlive its trial until a collector pass.
         self.kernel = ControlCycle(
             name,
-            clock=lambda: self.sim.now,
-            telemetry=lambda: self.sim.telemetry,
+            clock=lambda: sim.now,
+            telemetry=lambda: sim.telemetry,
             global_policy=global_policy,
         )
 

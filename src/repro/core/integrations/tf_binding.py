@@ -81,9 +81,8 @@ class PrismaTensorFlowPipeline(TFDataPipeline):
     def begin_epoch(self, epoch: int) -> None:
         super().begin_epoch(epoch)
         assert self._epoch_order is not None
-        _share_filenames_seam(
-            self.stage, (self.catalog.path(i) for i in self._epoch_order)
-        )
+        paths = self.catalog.paths
+        _share_filenames_seam(self.stage, [paths[i] for i in self._epoch_order])
 
 
 def integration_loc() -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
+from ...frameworks.pytorch.dataloader import TorchDataLoader
 from ...simcore.event import Event, chain_result
 from ...simcore.resources import Store
 from ...telemetry import CounterSet, TimeWeightedGauge
@@ -176,29 +177,25 @@ class PrismaTorchClient(PosixLike):
         return self._request(path)
 
 
-class PrismaTorchDataLoader:
-    """Factory helper: a DataLoader whose epoch list is shared with PRISMA.
+class PrismaTorchDataLoader(TorchDataLoader):
+    """A DataLoader whose epoch list is shared with PRISMA.
 
-    Subclasses :class:`TorchDataLoader` lazily (import here avoids a cycle)
-    and mirrors the job-script change of the paper: at the start of every
+    Reads go through one :class:`PrismaTorchClient` per worker, and the
+    job-script change of the paper is mirrored: at the start of every
     epoch the shuffled filenames list is written for the data plane.
     """
 
-    def __new__(cls, sim, catalog, shuffler, batch_size, stage, server, model, **kwargs):
-        from ...frameworks.pytorch.dataloader import TorchDataLoader
-
-        class _Bound(TorchDataLoader):
-            def begin_epoch(self, epoch: int) -> None:
-                super().begin_epoch(epoch)
-                order = self.shuffler.order(epoch)
-                stage.load_epoch(self.catalog.path(int(i)) for i in order)
-
+    def __init__(self, sim, catalog, shuffler, batch_size, stage, server, model, **kwargs):
         factory = make_torch_posix_factory(
             sim, server, lambda path: catalog.size(_index_of(catalog, path))
         )
-        return _Bound(
-            sim, catalog, shuffler, batch_size, factory, model, **kwargs
-        )
+        super().__init__(sim, catalog, shuffler, batch_size, factory, model, **kwargs)
+        self.stage = stage
+
+    def begin_epoch(self, epoch: int) -> None:
+        super().begin_epoch(epoch)
+        paths = self.catalog.paths
+        self.stage.load_epoch([paths[i] for i in self.shuffler.order(epoch)])
 
 
 def _index_of(catalog, path: str) -> int:

@@ -13,7 +13,8 @@ requested").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -31,8 +32,13 @@ class SampleInfo:
 class DatasetCatalog:
     """An ordered, immutable list of sample files.
 
-    Paths are generated lazily from a prefix + index to avoid storing one
-    Python string per sample; sizes live in a single int64 array.
+    Sizes live in a single int64 array.  A path is the prefix and the
+    zero-padded index; :attr:`paths` holds every one of them, built once
+    on first use (usually :meth:`materialize`) and then shared: the
+    filesystem's keys, each epoch's filenames list and the prefetch
+    buffer's keys are the same string per file, not a fresh copy per
+    call.  Hot paths index ``catalog.paths`` directly; :meth:`path` adds a
+    bounds check and a call.
     """
 
     def __init__(self, prefix: str, sizes: Sequence[int] | np.ndarray, name: str = "dataset") -> None:
@@ -52,10 +58,16 @@ class DatasetCatalog:
     def __len__(self) -> int:
         return len(self._sizes)
 
+    @cached_property
+    def paths(self) -> Tuple[str, ...]:
+        """Every sample's path, in catalog order (built on first use)."""
+        prefix = self.prefix
+        return tuple(f"{prefix}/{i:08d}" for i in range(len(self._sizes)))
+
     def path(self, index: int) -> str:
         if not 0 <= index < len(self._sizes):
             raise IndexError(index)
-        return f"{self.prefix}/{index:08d}"
+        return self.paths[index]
 
     def size(self, index: int) -> int:
         return int(self._sizes[index])
@@ -82,7 +94,7 @@ class DatasetCatalog:
 
     def filenames(self) -> List[str]:
         """The full filenames list (PRISMA's shared prefetch order input)."""
-        return [self.path(i) for i in range(len(self))]
+        return list(self.paths)
 
     # -- materialization -----------------------------------------------------------
     def materialize(self, fs) -> None:
@@ -91,8 +103,8 @@ class DatasetCatalog:
         ``fs`` is duck-typed: anything exposing ``create(path, size)`` works
         (local :class:`~repro.storage.Filesystem` or the distributed PFS).
         """
-        for i in range(len(self._sizes)):
-            fs.create(self.path(i), int(self._sizes[i]))
+        for path, size in zip(self.paths, self._sizes.tolist()):
+            fs.create(path, size)
 
     # -- derivation -------------------------------------------------------------
     def subset(self, count: int, name: Optional[str] = None) -> "DatasetCatalog":

@@ -64,7 +64,8 @@ class SequentialOrder:
 
 def shuffled_filenames(catalog: DatasetCatalog, shuffler: EpochShuffler, epoch: int) -> List[str]:
     """The shuffled filenames list for one epoch (PRISMA's §IV input file)."""
-    return [catalog.path(int(i)) for i in shuffler.order(epoch)]
+    paths = catalog.paths
+    return [paths[i] for i in shuffler.order(epoch)]
 
 
 def batches_from_order(order: Sequence[int] | np.ndarray, batch_size: int, drop_remainder: bool = False) -> List[np.ndarray]:

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 from ..core import Controller, ParallelPrefetcher, PrismaConfig, build_prisma
 from ..core.integrations import (
     PrismaTensorFlowPipeline,
+    PrismaTorchDataLoader,
     PrismaUDSServer,
     make_torch_posix_factory,
 )
@@ -107,30 +108,38 @@ def _finish(
     train_src,
     prefetcher: Optional[ParallelPrefetcher],
     controller: Optional[Controller],
+    telemetry: Optional["Telemetry"],
 ) -> TrialResult:
-    result = trainer.run_to_completion()
-    trial = TrialResult(
-        setup=setup,
-        model=model.name,
-        batch_size=batch_size,
-        num_workers=num_workers,
-        sim_seconds=result.total_time,
-        paper_equivalent_seconds=scale.paper_equivalent(result.total_time),
-        training=result,
-        reader_activity=train_src.active_readers.histogram(),
-    )
-    if prefetcher is not None:
-        trial.producer_activity = prefetcher.active_producers.histogram()
-        trial.buffer_hit_rate = prefetcher.buffer.hit_rate()
-        trial.final_producers = prefetcher.target_producers
-        trial.peak_producers = int(prefetcher.allocated_producers.max_seen())
-        trial.final_buffer_capacity = prefetcher.buffer.capacity
-    if controller is not None:
-        trial.control_cycles = controller.cycles
-        trial.control_enforcements = controller.enforcements
-        trial.control_rpc_failures = controller.rpc_failures
-        controller.stop()
-    return trial
+    """Run the trial and build its result; then detach ``telemetry`` and
+    close the simulator, so the trial's stack is freed on return."""
+    try:
+        result = trainer.run_to_completion()
+        trial = TrialResult(
+            setup=setup,
+            model=model.name,
+            batch_size=batch_size,
+            num_workers=num_workers,
+            sim_seconds=result.total_time,
+            paper_equivalent_seconds=scale.paper_equivalent(result.total_time),
+            training=result,
+            reader_activity=train_src.active_readers.histogram(),
+        )
+        if prefetcher is not None:
+            trial.producer_activity = prefetcher.active_producers.histogram()
+            trial.buffer_hit_rate = prefetcher.buffer.hit_rate()
+            trial.final_producers = prefetcher.target_producers
+            trial.peak_producers = int(prefetcher.allocated_producers.max_seen())
+            trial.final_buffer_capacity = prefetcher.buffer.capacity
+        if controller is not None:
+            trial.control_cycles = controller.cycles
+            trial.control_enforcements = controller.enforcements
+            trial.control_rpc_failures = controller.rpc_failures
+            controller.stop()
+        return trial
+    finally:
+        if telemetry is not None:
+            telemetry.detach()
+        env.sim.close()
 
 
 # -- TensorFlow trials --------------------------------------------------------------
@@ -197,14 +206,10 @@ def run_tf_trial(
         TrainingConfig(epochs=scale.epochs, global_batch=batch_size),
         val_src, setup=setup,
     )
-    try:
-        return _finish(
-            env, trainer, scale, setup, model, batch_size, None,
-            train_src, prefetcher, controller,
-        )
-    finally:
-        if telemetry is not None:
-            telemetry.detach()
+    return _finish(
+        env, trainer, scale, setup, model, batch_size, None,
+        train_src, prefetcher, controller, telemetry,
+    )
 
 
 # -- PyTorch trials --------------------------------------------------------------
@@ -241,28 +246,16 @@ def run_torch_trial(
             sim, env.posix, PrismaConfig(control_period=scale.control_period)
         )
         server = PrismaUDSServer(sim, stage)
-
-        def size_lookup(path: str) -> int:
-            index = int(path.rsplit("/", 1)[1])
-            catalog = split.train if path.startswith(split.train.prefix) else split.validation
-            return catalog.size(index)
-
-        factory = make_torch_posix_factory(sim, server, size_lookup)
-
-        class _SharedEpochLoader(TorchDataLoader):
-            """DataLoader that shares its shuffled list with the stage."""
-
-            def begin_epoch(self, epoch: int) -> None:
-                super().begin_epoch(epoch)
-                order = self.shuffler.order(epoch)
-                stage.load_epoch(self.catalog.path(int(i)) for i in order)
-
-        train_src = _SharedEpochLoader(
-            sim, split.train, env.train_shuffler, batch_size, factory, model,
+        train_src = PrismaTorchDataLoader(
+            sim, split.train, env.train_shuffler, batch_size, stage, server, model,
             num_workers=num_workers,
         )
         # Validation reads go through the clients too, but are not in the
         # prefetch list, so the stage falls back to the backend (§V-A).
+        val = split.validation
+        factory = make_torch_posix_factory(
+            sim, server, lambda path: val.size(int(path.rsplit("/", 1)[1]))
+        )
         val_src = TorchDataLoader(
             sim, split.validation, env.val_shuffler, batch_size, factory, model,
             num_workers=num_workers, name="val",
@@ -284,11 +277,7 @@ def run_torch_trial(
         TrainingConfig(epochs=scale.epochs, global_batch=batch_size),
         val_src, setup=f"{setup}-w{num_workers}",
     )
-    try:
-        return _finish(
-            env, trainer, scale, setup, model, batch_size, num_workers,
-            train_src, prefetcher, controller,
-        )
-    finally:
-        if telemetry is not None:
-            telemetry.detach()
+    return _finish(
+        env, trainer, scale, setup, model, batch_size, num_workers,
+        train_src, prefetcher, controller, telemetry,
+    )

@@ -315,6 +315,8 @@ def run_write_trial(
     )
     if telemetry is not None:
         telemetry.detach()
+    # The result is built and no hub is attached: free the cell's stack.
+    sim.close()
     return trial
 
 

@@ -90,7 +90,7 @@ class TorchDataLoader(DataSource):
     # -- shared helpers ------------------------------------------------------------
     def _load_sample(self, posix: "PosixLike", idx: int):
         """Read + decode one sample (generator; returns bytes read)."""
-        path = self.catalog.path(idx)
+        path = self.catalog.paths[idx]
         self.active_readers.increment()
         nbytes = yield posix.read_whole(path)
         self.active_readers.decrement()

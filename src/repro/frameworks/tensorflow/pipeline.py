@@ -135,12 +135,12 @@ class TFDataPipeline(DataSource):
         self.samples_read = 0
         self.bytes_read = 0
 
-        #: per reader: its read-completion callback, and the unit it reads
-        self._landed = [partial(self._on_read, r) for r in range(reader_threads)]
+        #: per reader: the unit it reads
         self._reading: List[int] = [0] * reader_threads
 
         # The rest of the per-epoch state is set by begin_epoch.
         self._epoch_order: Optional[List[int]] = None
+        self._landed: Optional[List[partial]] = None
         self._batch_store: Optional[Store] = None
 
     # -- read units ------------------------------------------------------------------
@@ -158,6 +158,9 @@ class TFDataPipeline(DataSource):
     def begin_epoch(self, epoch: int) -> None:
         self._epoch_order = [int(i) for i in self.shuffler.order(epoch)]
         self._cursor = 0
+        #: per reader, its read-completion callback: bound to this
+        #: pipeline, so they live only while the epoch has reads to issue
+        self._landed = [partial(self._on_read, r) for r in range(self.reader_threads)]
         self._unbatched = self._epoch_records()
         #: staged records no mapper took; blocked readers, FIFO:
         #: [reader, records left to stage]
@@ -184,11 +187,14 @@ class TFDataPipeline(DataSource):
         order = self._epoch_order
         cursor = self._cursor
         if cursor == len(order):
+            # Every read is issued: drop the callbacks, which would hold
+            # this pipeline in a cycle with itself past its trial.
+            self._landed = None
             return
         self._cursor = cursor + 1
         unit = self._reading[r] = order[cursor]
         self.active_readers.increment()
-        read = self.posix.read_whole(self.catalog.path(unit))
+        read = self.posix.read_whole(self.catalog.paths[unit])
         callbacks = read.callbacks
         if callbacks is None:  # already processed (add_callback's rule, inline)
             self._landed[r](read)

@@ -4,7 +4,9 @@ This module preserves the previous generation of the event loop — one
 global binary heap ordered by ``(time, sequence)``, a bootstrap
 :class:`~repro.simcore.event.Event` per process, per-timeout formatted
 names — exactly as it shipped before the slot scheduler landed in
-:mod:`repro.simcore.kernel`.  It exists for two consumers:
+:mod:`repro.simcore.kernel`, with one later bug fix shared by both kernels
+(an interrupt from a callback of the event the process waits on resumes
+it once, not twice).  It exists for two consumers:
 
 * ``tests/test_simcore_scheduler.py`` — the determinism property suite
   runs randomized scenarios against both kernels and asserts identical
@@ -59,7 +61,9 @@ class HeapProcess(Event):
         target = self._waiting_on
         if target is not None:
             self._waiting_on = None
-            if target.callbacks is not None and self._resume in target.callbacks:
+            if target.callbacks is None:
+                return  # being processed: its pending _resume call delivers it
+            if self._resume in target.callbacks:
                 target.callbacks.remove(self._resume)
             wake = Event(self.sim, name=f"interrupt:{self.name}")
             wake.add_callback(self._resume)

@@ -116,6 +116,7 @@ class Process(Event):
         #: its first yield — throwing into an unstarted generator would
         #: raise at the def line, outside any try/except in the body.
         self._started = False
+        sim._processes[self] = None
         # Bootstrap: resume the generator at time `now` via the immediate
         # queue — same FIFO position a bootstrap Event used to get.
         sim._now_queue.append(_Resume(self))
@@ -139,11 +140,16 @@ class Process(Event):
         if target is not None:
             # Detach from the event we were waiting on, resume immediately.
             self._waiting_on = None
-            if target.callbacks is not None:
-                try:
-                    target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
+            callbacks = target.callbacks
+            if callbacks is None:
+                # The event is being processed (this is one of its
+                # callbacks): its pending call of our _resume delivers the
+                # interrupt, so a wake-up would resume us a second time.
+                return
+            try:
+                callbacks.remove(self._resume)
+            except ValueError:
+                pass
             self.sim._now_queue.append(_Resume(self))
 
     # -- kernel internals ----------------------------------------------------
@@ -183,12 +189,14 @@ class Process(Event):
                 callbacks.append(self._resume)
                 return
         except StopIteration as stop:
+            sim._processes.pop(self, None)
             self.succeed(stop.value)
         except StopSimulation:
             raise
         except BaseException as exc:  # noqa: BLE001 - process bodies may raise anything
             # Process died: propagate to joiners, or abort the run when nobody
             # is listening (silent failures hide bugs).
+            sim._processes.pop(self, None)
             self._exception_terminate(exc)
         finally:
             sim._active_process = None
@@ -229,6 +237,9 @@ class Simulator:
         #: Heap of the distinct future timestamps with a pending slot.
         self._times: List[float] = []
         self._active_process: Optional[Process] = None
+        #: every process whose generator has not finished, in spawn order
+        #: (a dict as an ordered set): what :meth:`close` closes
+        self._processes: Dict[Process, None] = {}
         self._defunct: List[ProcessError] = []
         self._stopping = False
         #: Events processed since construction (``run`` + ``step``); the
@@ -362,6 +373,29 @@ class Simulator:
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopping = True
+
+    def close(self) -> None:
+        """End the run: close every unfinished process, drop every pending entry.
+
+        Every queued entry and every suspended process refers back to this
+        simulator, so a finished run's whole stack stays in reference
+        cycles until the cyclic collector happens to pass.  ``close``
+        breaks them, so the stack is freed as soon as its last outside
+        reference goes.  Each unfinished process's generator is closed in
+        spawn order (``GeneratorExit`` at its current yield: its
+        ``finally`` blocks run now, once) and forgets the event it waited
+        on; then the current slot, the future slots and the timestamp heap
+        are emptied.  Call it between runs, not from inside one.  Closing
+        twice does nothing; :meth:`run` after ``close`` finds nothing to do
+        and returns at once.
+        """
+        processes, self._processes = self._processes, {}
+        for process in processes:
+            process._waiting_on = None
+            process.generator.close()
+        self._now_queue.clear()
+        self._slots.clear()
+        self._times.clear()
 
     def cancel(self, timeout: "Timeout | _Call") -> None:
         """Withdraw a pending timer: it never fires, its callbacks never run.

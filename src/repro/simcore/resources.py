@@ -700,6 +700,9 @@ class Resource:
             )
         self._account()  # account the interval *before* shrinking users
         self.users.remove(request)
+        # A granted request is its own value; a released one lets go of
+        # itself, so reference counting frees it rather than the collector.
+        request._value = None
         if self.queue:
             self._grant(self.queue.popleft())
 

@@ -149,10 +149,11 @@ def test_figure2_prisma_trial_event_budget(kernel_probe):
 
 def test_figure2_prisma_trial_call_budget(package_calls):
     """The same quick Figure-2 ``tf-prisma`` trial makes at most 100 calls
-    per served sample into functions of the package (81.6 measured on
-    Python 3.11; 102.3 with producer processes, before the per-sample
-    chain was trimmed).  Counted with cProfile, comprehensions aside; the
-    slack covers other Python versions."""
+    per served sample into functions of the package (78.6 measured on
+    Python 3.11; 81.6 with a ``DatasetCatalog.path()`` call per sample in
+    the reader and in the filenames seam, 102.3 with producer processes,
+    before the per-sample chain was trimmed).  Counted with cProfile,
+    comprehensions aside; the slack covers other Python versions."""
     scale = figure2_scale(quick=True)
     _, calls = package_calls(run_tf_trial, "tf-prisma", LENET, 256, scale, seed=0)
     n_train = max(IMAGENET_TRAIN_FILES // scale.scale, 1)

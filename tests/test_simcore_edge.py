@@ -12,6 +12,7 @@ from repro.simcore import (
     Simulator,
     Store,
 )
+from repro.simcore._heapkernel import HeapSimulator
 
 
 def test_interrupt_before_process_starts():
@@ -54,6 +55,57 @@ def test_interrupt_while_runnable_same_timestep():
     sim.process(attacker(p))
     sim.run()
     assert p.value == "interrupted"
+
+
+def _interrupted_by_waited_event_callback(sim_class, body):
+    """Run ``body(sim, ev)`` as a process, then trigger the event it waits
+    on with a callback ahead of the process's own that interrupts it."""
+    sim = sim_class()
+    ev = sim.event()
+    proc = sim.process(body(sim, ev))
+    sim.run()
+    ev.callbacks.insert(0, lambda _ev: proc.interrupt("stop"))
+    ev.succeed("value")
+    return sim, proc
+
+
+@pytest.mark.parametrize("sim_class", [Simulator, HeapSimulator])
+def test_interrupt_from_callback_of_waited_event_kills_once(sim_class):
+    """The event's pending call of the process's resume delivers the
+    interrupt; no second wake-up resumes the dead process (which failed
+    the run with EventAlreadyTriggered)."""
+
+    def body(sim, ev):
+        yield ev
+
+    sim, proc = _interrupted_by_waited_event_callback(sim_class, body)
+    failures = []
+    proc.add_callback(lambda p: failures.append(p.exception))
+    sim.run()
+    assert len(failures) == 1
+    assert isinstance(failures[0], ProcessError)
+    assert isinstance(failures[0].__cause__, Interrupt)
+
+
+@pytest.mark.parametrize("sim_class", [Simulator, HeapSimulator])
+def test_interrupt_from_callback_of_waited_event_resumes_once(sim_class):
+    """A body that catches the interrupt and sleeps wakes once, at the end
+    of its sleep, with the timer's value (a stray wake-up resumed it at
+    t=0 with None)."""
+    log = []
+
+    def body(sim, ev):
+        try:
+            yield ev
+        except Interrupt as exc:
+            log.append(("interrupted", sim.now, exc.cause))
+        value = yield sim.timeout(5, value="slept")
+        log.append(("woke", sim.now, value))
+
+    sim, proc = _interrupted_by_waited_event_callback(sim_class, body)
+    sim.run()
+    assert log == [("interrupted", 0.0, "stop"), ("woke", 5.0, "slept")]
+    assert proc.ok and sim.now == 5.0
 
 
 def test_anyof_failure_propagates():

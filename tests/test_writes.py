@@ -311,8 +311,10 @@ def test_write_matrix_event_budget(kernel_probe):
 
 def test_write_matrix_call_budget(package_calls):
     """The same nine-cell write matrix makes at most 90 calls into the
-    package per sample read (79.4 measured on Python 3.11; 96.0 with
-    producer processes, before the per-sample chain was trimmed).
+    package per sample read (77.3 measured on Python 3.11; 79.4 with a
+    ``DatasetCatalog.path()`` call per sample in the reader and in the
+    filenames seam, 96.0 with producer processes, before the per-sample
+    chain was trimmed).
     Counted with cProfile by the shared fixture, comprehensions aside."""
     report, calls = package_calls(run_write_workloads, 0, n_files=64, epochs=2)
     samples = len(report.trials) * 64 * 2
