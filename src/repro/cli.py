@@ -18,10 +18,16 @@ Usage::
 
 (or the installed ``prisma-repro`` script).
 
-Every experiment command accepts the shared flags ``--seed N``,
-``--out FILE`` (results as JSON; ``--json`` is a deprecated spelling),
-``--trace FILE`` (Chrome-trace of the run, load in ``chrome://tracing``
-or Perfetto), and ``--quiet`` (suppress charts and progress chatter).
+Each experiment is one entry of :data:`EXPERIMENTS`: its flags, its run,
+the shared flags it rejects and its representative trial.  One handler
+serves every entry; ``trace`` runs an entry's trial with a telemetry hub
+and ``profile`` runs it under cProfile.
+
+The shared flags are ``--seed N``, ``--out FILE`` (results as JSON;
+``--json`` is a deprecated spelling), ``--trace FILE`` (Chrome-trace of
+the run, load in ``chrome://tracing`` or Perfetto), and ``--quiet``
+(suppress charts and progress chatter).  A command exits with status 2
+when given one of the first three that it rejects.
 """
 
 from __future__ import annotations
@@ -29,17 +35,16 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+#: The shared flags a command may reject, in the order they are checked.
+_SHARED = ("trace", "seed", "out")
 
-def _progress(trial) -> None:
-    workers = f" w={trial.num_workers}" if trial.num_workers is not None else ""
-    print(
-        f"  ran {trial.model}/{trial.setup} bs={trial.batch_size}{workers}: "
-        f"{trial.paper_equivalent_seconds:.0f}s (paper-equivalent)",
-        file=sys.stderr,
-        flush=True,
-    )
+#: ``writes --quick``: the smaller matrix, also the profiled trial.
+_WRITES_QUICK = dict(n_files=320, epochs=1, ckpt_every=4, ckpt_bytes=48_000_000)
+#: ``predict --quick``: the smaller sweep and workload, also the profiled trial.
+_PREDICT_QUICK = dict(n_files=64, epochs=2, sweep_n_files=32)
 
 
 def _note(args, message: str) -> None:
@@ -47,131 +52,111 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _telemetry_for(args):
-    """A Telemetry hub when ``--trace`` was given, else ``None``."""
-    if not getattr(args, "trace", None):
+def _progress(args):
+    """The per-trial progress callback under ``--verbose``, else ``None``."""
+    if not args.verbose or args.quiet:
         return None
-    from .telemetry import Telemetry
 
-    return Telemetry()
+    def report(trial) -> None:
+        workers = f" w={trial.num_workers}" if trial.num_workers is not None else ""
+        print(
+            f"  ran {trial.model}/{trial.setup} bs={trial.batch_size}{workers}: "
+            f"{trial.paper_equivalent_seconds:.0f}s (paper-equivalent)",
+            file=sys.stderr,
+            flush=True,
+        )
+
+    return report
 
 
-def _finish_trace(telemetry, args) -> None:
-    if telemetry is None:
-        return
-    from .telemetry import write_chrome_trace
-
-    stats = write_chrome_trace(telemetry, args.trace)
-    _note(args, f"wrote {args.trace} ({stats['events']} trace events)")
-
-
-def _reject_unsupported(args, command: str) -> Optional[int]:
-    """Fail fast when a shared flag has no effect on this command."""
-    if getattr(args, "trace", None):
-        print(f"error: --trace is not supported for {command!r}", file=sys.stderr)
-        return 2
-    if getattr(args, "seed", 0):
-        print(f"error: --seed is not supported for {command!r}", file=sys.stderr)
-        return 2
-    if getattr(args, "out", None):
-        print(f"error: --out is not supported for {command!r}", file=sys.stderr)
-        return 2
+def _unsupported(args, command: str, rejects) -> Optional[int]:
+    """Fail fast when a shared flag that ``command`` rejects was given."""
+    for flag in _SHARED:
+        if flag in rejects and getattr(args, flag, None):
+            print(f"error: --{flag} is not supported for {command!r}", file=sys.stderr)
+            return 2
     return None
 
 
-def _cmd_figure2(args) -> int:
+def _sizes(args, quick: Dict[str, int]) -> Dict[str, int]:
+    """Runner sizes: ``quick`` under ``--quick``, then ``--files``/``--epochs``."""
+    sizes = dict(quick) if args.quick else {}
+    if args.files is not None:
+        sizes["n_files"] = args.files
+    if args.epochs is not None:
+        sizes["epochs"] = args.epochs
+    return sizes
+
+
+def _served(report) -> str:
+    """One cluster-serving run in a line."""
+    return (
+        f"n={report.n_nodes}: {report.requests} requests, "
+        f"{report.backing_reads} backing reads, "
+        f"hit rate {report.cluster_hit_rate:.1%}"
+    )
+
+
+# -- experiment runs: (args, telemetry) -> (text, --out document, exit status) ------
+def _figure2(args, telemetry):
     from .experiments import figure2_scale, run_figure2
+    from .experiments.export import figure2_to_dict
     from .experiments.figure2 import DEFAULT_MODELS
     from .experiments.report import figure2_chart, format_figure2
     from .frameworks.models import get_model
 
-    models = (
-        tuple(get_model(m) for m in args.models) if args.models else DEFAULT_MODELS
-    )
+    models = tuple(get_model(m) for m in args.models) if args.models else DEFAULT_MODELS
     batches = tuple(args.batches) if args.batches else (64, 128, 256)
     scale = figure2_scale(quick=args.quick)
-    telemetry = _telemetry_for(args)
     result = run_figure2(
         scale=scale,
         models=models,
         batch_sizes=batches,
-        progress=_progress if args.verbose and not args.quiet else None,
+        progress=_progress(args),
         base_seed=args.seed,
         telemetry=telemetry,
     )
-    _finish_trace(telemetry, args)
-    if args.out:
-        from .experiments.export import dump_json, figure2_to_dict
-
-        dump_json(figure2_to_dict(result, scale), args.out)
-        _note(args, f"wrote {args.out}")
-    print(format_figure2(result))
+    text = format_figure2(result)
     if not args.quiet:
-        chart_batch = batches[-1]
-        try:
-            print()
-            print(figure2_chart(result, batch_size=chart_batch))
-        except KeyError:
-            pass  # partial grids may not contain the chart batch
-    return 0
+        text += "\n\n" + figure2_chart(result, batch_size=batches[-1])
+    return text, figure2_to_dict(result, scale), 0
 
 
-def _cmd_figure3(args) -> int:
+def _figure3(args, telemetry):
     from .experiments import figure2_scale, run_figure3
+    from .experiments.export import figure3_to_dict
     from .experiments.report import figure3_chart, format_figure3
 
     scale = figure2_scale(quick=args.quick)
-    telemetry = _telemetry_for(args)
     result = run_figure3(
-        scale=scale,
-        progress=_progress if args.verbose and not args.quiet else None,
-        base_seed=args.seed,
-        telemetry=telemetry,
+        scale=scale, progress=_progress(args), base_seed=args.seed, telemetry=telemetry
     )
-    _finish_trace(telemetry, args)
-    if args.out:
-        from .experiments.export import dump_json, figure3_to_dict
-
-        dump_json(figure3_to_dict(result, scale), args.out)
-        _note(args, f"wrote {args.out}")
-    print(format_figure3(result))
+    text = format_figure3(result)
     if not args.quiet:
-        print()
-        print(figure3_chart(result))
-    return 0
+        text += "\n\n" + figure3_chart(result)
+    return text, figure3_to_dict(result, scale), 0
 
 
-def _cmd_figure4(args) -> int:
+def _figure4(args, telemetry):
     from .experiments import figure4_scale, run_figure4
+    from .experiments.export import figure4_to_dict
     from .experiments.report import figure4_chart, format_figure4
 
-    workers = tuple(args.workers) if args.workers else (0, 2, 4, 8, 16)
     scale = figure4_scale(quick=args.quick)
-    telemetry = _telemetry_for(args)
     result = run_figure4(
         scale=scale,
-        worker_counts=workers,
-        progress=_progress if args.verbose and not args.quiet else None,
+        worker_counts=tuple(args.workers) if args.workers else (0, 2, 4, 8, 16),
+        progress=_progress(args),
         base_seed=args.seed,
         telemetry=telemetry,
     )
-    _finish_trace(telemetry, args)
-    if args.out:
-        from .experiments.export import dump_json, figure4_to_dict
-
-        dump_json(figure4_to_dict(result, scale), args.out)
-        _note(args, f"wrote {args.out}")
-    print(format_figure4(result))
+    text = format_figure4(result)
     if not args.quiet:
-        print()
-        print(figure4_chart(result))
-    return 0
+        text += "\n\n" + figure4_chart(result)
+    return text, figure4_to_dict(result, scale), 0
 
 
-def _cmd_ablation(args) -> int:
-    code = _reject_unsupported(args, "ablation")
-    if code is not None:
-        return code
+def _ablation(args, telemetry):
     from .experiments.ablation import (
         autotune_point,
         best_static,
@@ -184,123 +169,70 @@ def _cmd_ablation(args) -> int:
     if args.which == "autotune":
         auto = autotune_point()
         grid = static_grid()
-        print(format_ablation("Auto-tune vs static grid", [auto] + grid, baseline=best_static(grid)))
+        text = format_ablation(
+            "Auto-tune vs static grid", [auto] + grid, baseline=best_static(grid)
+        )
     elif args.which == "device":
-        print(format_ablation("Device sensitivity", device_sensitivity()))
-    elif args.which == "period":
-        print(format_ablation("Control-period sensitivity", control_period_sensitivity()))
-    return 0
+        text = format_ablation("Device sensitivity", device_sensitivity())
+    else:
+        text = format_ablation("Control-period sensitivity", control_period_sensitivity())
+    return text, None, 0
 
 
-def _cmd_distributed(args) -> int:
-    code = _reject_unsupported(args, "distributed")
-    if code is not None:
-        return code
+def _distributed(args, telemetry):
     from .experiments.extensions import format_distributed_sweep, run_distributed_sweep
 
     nodes = tuple(args.nodes) if args.nodes else (1, 2, 4)
-    rows = run_distributed_sweep(node_counts=nodes)
-    print(format_distributed_sweep(rows))
-    return 0
+    return format_distributed_sweep(run_distributed_sweep(node_counts=nodes)), None, 0
 
 
-def _cmd_multitenant(args) -> int:
-    code = _reject_unsupported(args, "multitenant")
-    if code is not None:
-        return code
+def _multitenant(args, telemetry):
     from .experiments.extensions import format_multitenant, run_multitenant_comparison
 
-    rows = run_multitenant_comparison(n_jobs=args.jobs)
-    print(format_multitenant(rows))
-    return 0
+    return format_multitenant(run_multitenant_comparison(n_jobs=args.jobs)), None, 0
 
 
-def _cmd_latency(args) -> int:
-    code = _reject_unsupported(args, "latency")
-    if code is not None:
-        return code
+def _latency(args, telemetry):
     from .experiments.extensions import format_latency, run_latency_comparison
 
-    print(format_latency(run_latency_comparison()))
-    return 0
+    return format_latency(run_latency_comparison()), None, 0
 
 
-def _cmd_faults_demo(args) -> int:
+def _faults_demo(args, telemetry):
     from .experiments.faults import format_fault_sweep, run_fault_sweep
 
-    telemetry = _telemetry_for(args)
     report = run_fault_sweep(seed=args.seed, n_files=args.files, telemetry=telemetry)
-    _finish_trace(telemetry, args)
-    if args.out:
-        from .experiments.export import dump_json
-
-        dump_json(report.metrics_dict(), args.out)
-        _note(args, f"wrote {args.out}")
-    print(format_fault_sweep(report))
-    return 0 if report.completed else 1
+    return format_fault_sweep(report), report.metrics_dict(), 0 if report.completed else 1
 
 
-def _cmd_writes(args) -> int:
-    from .experiments.writes import run_write_workloads, format_writes
+def _writes(args, telemetry):
+    from .experiments.writes import format_writes, run_write_workloads
 
-    telemetry = _telemetry_for(args)
-    kwargs = dict(seed=args.seed, telemetry=telemetry)
-    if args.quick:
-        kwargs.update(n_files=320, epochs=1, ckpt_every=4, ckpt_bytes=48_000_000)
-    if args.files is not None:
-        kwargs["n_files"] = args.files
-    if args.epochs is not None:
-        kwargs["epochs"] = args.epochs
-    report = run_write_workloads(**kwargs)
-    _finish_trace(telemetry, args)
-    if args.out:
-        from .experiments.export import dump_json
-
-        dump_json(report.metrics_dict(), args.out)
-        _note(args, f"wrote {args.out}")
-    print(format_writes(report))
-    return 0
+    report = run_write_workloads(
+        seed=args.seed, telemetry=telemetry, **_sizes(args, _WRITES_QUICK)
+    )
+    return format_writes(report), report.metrics_dict(), 0
 
 
-def _cmd_cluster(args) -> int:
+def _cluster(args, telemetry):
     from .experiments.cluster import format_cluster_sweep, run_cluster_sweep
 
-    nodes = tuple(args.nodes) if args.nodes else (128, 256, 512, 1024)
-    if args.quick:
-        nodes = tuple(args.nodes) if args.nodes else (16, 32, 64)
-    files = args.files if args.files is not None else (256 if args.quick else 1024)
-
-    def progress(report) -> None:
-        _note(
-            args,
-            f"  ran n={report.n_nodes}: {report.requests} requests, "
-            f"{report.backing_reads} backing reads, "
-            f"hit rate {report.cluster_hit_rate:.1%}",
-        )
-
-    telemetry = _telemetry_for(args)
+    nodes = (16, 32, 64) if args.quick else (128, 256, 512, 1024)
     reports = run_cluster_sweep(
-        node_counts=nodes,
+        node_counts=tuple(args.nodes) if args.nodes else nodes,
         seed=args.seed,
-        n_files=files,
+        n_files=args.files if args.files is not None else (256 if args.quick else 1024),
         epochs=args.epochs,
         telemetry=telemetry,
-        progress=progress if not args.quiet else None,
+        progress=None if args.quiet else lambda r: _note(args, f"  ran {_served(r)}"),
     )
-    _finish_trace(telemetry, args)
-    if args.out:
-        from .experiments.export import dump_json
-
-        dump_json([r.metrics_dict() for r in reports], args.out)
-        _note(args, f"wrote {args.out}")
-    print(format_cluster_sweep(reports))
-    return 0 if all(r.completed for r in reports) else 1
+    status = 0 if all(r.completed for r in reports) else 1
+    return format_cluster_sweep(reports), [r.metrics_dict() for r in reports], status
 
 
-def _cmd_clairvoyant(args) -> int:
+def _clairvoyant(args, telemetry):
     from .experiments.clairvoyant import format_clairvoyant, run_clairvoyant_comparison
 
-    telemetry = _telemetry_for(args)
     report = run_clairvoyant_comparison(
         seed=args.seed,
         n_files=args.files,
@@ -308,17 +240,28 @@ def _cmd_clairvoyant(args) -> int:
         lookahead_epochs=args.lookahead,
         telemetry=telemetry,
     )
-    _finish_trace(telemetry, args)
-    if args.out:
-        from .experiments.export import dump_json
-
-        dump_json(report.metrics_dict(), args.out)
-        _note(args, f"wrote {args.out}")
-    print(format_clairvoyant(report))
-    return 0 if report.reactive.completed and report.clairvoyant.completed else 1
+    status = 0 if report.reactive.completed and report.clairvoyant.completed else 1
+    return format_clairvoyant(report), report.metrics_dict(), status
 
 
-def _cmd_live_demo(args) -> int:
+def _predict(args, telemetry):
+    """Predictive vs reactive control head-to-head (sweep → fit → jump)."""
+    from .experiments.predictive import format_predictive, run_predictive_comparison
+
+    report = run_predictive_comparison(seed=args.seed, **_sizes(args, _PREDICT_QUICK))
+    if args.samples:
+        from .perfmodel import write_samples_jsonl
+
+        write_samples_jsonl(report.samples, args.samples)
+        _note(args, f"wrote {args.samples} ({len(report.samples)} sweep samples)")
+    if args.model_out and report.model is not None:
+        report.model.save(args.model_out)
+        _note(args, f"wrote {args.model_out}")
+    ok = all(r.live_parity and not r.fell_back for r in report.results)
+    return format_predictive(report), report.metrics_dict(), 0 if ok else 1
+
+
+def _live_demo(args, telemetry):
     """Live PRISMA with global coordination: real threads, real files.
 
     Builds ``--jobs`` prefetcher pools over temporary on-disk datasets and
@@ -328,16 +271,12 @@ def _cmd_live_demo(args) -> int:
     cycles are stepped deterministically between reads so the printed
     allocation is reproducible.
     """
-    if getattr(args, "seed", 0):
-        print("error: --seed is not supported for 'live-demo'", file=sys.stderr)
-        return 2
     import os
     import tempfile
 
     from .core.live import LiveController, LivePrefetcher
     from .multitenant.fairness import FairShareGlobalPolicy
 
-    telemetry = _telemetry_for(args)
     policy = FairShareGlobalPolicy(
         total_producer_budget=args.budget, per_job_cap=max(args.budget - 1, 1)
     )
@@ -375,7 +314,6 @@ def _cmd_live_demo(args) -> int:
             for pf in prefetchers:
                 pf.close()
 
-    _finish_trace(telemetry, args)
     summary = {
         "jobs": [
             {
@@ -392,99 +330,293 @@ def _cmd_live_demo(args) -> int:
             "rpc_failures": controller.rpc_failures,
         },
     }
-    if args.out:
-        from .experiments.export import dump_json
-
-        dump_json(summary, args.out)
-        _note(args, f"wrote {args.out}")
-    print(f"live PRISMA, {args.jobs} tenants under one global controller "
-          f"(budget={args.budget} producer threads):")
+    lines = [
+        f"live PRISMA, {args.jobs} tenants under one global controller "
+        f"(budget={args.budget} producer threads):"
+    ]
     for job in summary["jobs"]:
-        print(
+        lines.append(
             f"  {job['name']}: {job['files']} files prefetched, "
             f"hit rate {job['hit_rate']:.0%}, final producers {job['producers']}"
         )
     ctl = summary["control"]
-    print(
+    lines.append(
         f"  control: {ctl['cycles']} cycles, {ctl['enforcements']} enforcements, "
         f"{ctl['rpc_failures']} rpc failures"
     )
-    return 0
+    return "\n".join(lines), summary, 0
 
 
-def _cmd_predict(args) -> int:
-    """Predictive vs reactive control head-to-head (sweep → fit → jump)."""
-    if getattr(args, "trace", None):
-        print("error: --trace is not supported for 'predict'", file=sys.stderr)
-        return 2
-    from .experiments.predictive import format_predictive, run_predictive_comparison
+# -- representative trials: (seed, telemetry) -> the headline ``trace`` prints ------
+def _tf_trial(seed, telemetry):
+    from .experiments import figure2_scale
+    from .experiments.runner import run_tf_trial
+    from .frameworks.models import LENET
 
-    kwargs = dict(seed=args.seed)
-    if args.quick:
-        kwargs.update(n_files=64, epochs=2, sweep_n_files=32)
-    if args.files is not None:
-        kwargs["n_files"] = args.files
-    if args.epochs is not None:
-        kwargs["epochs"] = args.epochs
-    report = run_predictive_comparison(**kwargs)
-    if args.samples:
-        from .perfmodel import write_samples_jsonl
+    trial = run_tf_trial(
+        "tf-prisma", LENET, 256, figure2_scale(quick=True), seed=seed, telemetry=telemetry
+    )
+    return (
+        f"traced tf-prisma/lenet bs=256: "
+        f"{trial.paper_equivalent_seconds:.0f}s (paper-equivalent)"
+    )
 
-        write_samples_jsonl(report.samples, args.samples)
-        _note(args, f"wrote {args.samples} ({len(report.samples)} sweep samples)")
-    if args.model_out and report.model is not None:
-        report.model.save(args.model_out)
-        _note(args, f"wrote {args.model_out}")
+
+def _torch_trial(seed, telemetry):
+    from .experiments import figure4_scale
+    from .experiments.runner import run_torch_trial
+    from .frameworks.models import LENET
+
+    trial = run_torch_trial(
+        "torch-prisma", LENET, 256, 2, figure4_scale(quick=True),
+        seed=seed, telemetry=telemetry,
+    )
+    return (
+        f"traced torch-prisma/lenet bs=256 w=2: "
+        f"{trial.paper_equivalent_seconds:.0f}s (paper-equivalent)"
+    )
+
+
+def _fault_trial(seed, telemetry):
+    from .experiments.faults import run_fault_sweep
+
+    report = run_fault_sweep(seed=seed, telemetry=telemetry)
+    return (
+        f"traced fault sweep: served {report.files_served} files, "
+        f"{report.serve_failures} failures"
+    )
+
+
+def _writes_trial(seed, telemetry):
+    from .experiments.writes import run_write_workloads
+
+    report = run_write_workloads(seed=seed, telemetry=telemetry, **_WRITES_QUICK)
+    checkpoints = sum(t.checkpoints for t in report.trials)
+    return f"traced write matrix: {len(report.trials)} trials, {checkpoints} checkpoints"
+
+
+def _cluster_trial(seed, telemetry):
+    from .experiments.cluster import run_cluster_serving
+
+    report = run_cluster_serving(
+        seed, n_nodes=64, n_files=512, epochs=2, telemetry=telemetry
+    )
+    return f"traced cluster serving {_served(report)}"
+
+
+def _clairvoyant_trial(seed, telemetry):
+    from .experiments.clairvoyant import run_clairvoyant_comparison
+
+    report = run_clairvoyant_comparison(seed=seed, telemetry=telemetry)
+    return (
+        f"traced clairvoyant comparison: reactive {report.reactive.sim_seconds:.3f}s, "
+        f"clairvoyant {report.clairvoyant.sim_seconds:.3f}s (simulated)"
+    )
+
+
+def _predict_trial(seed, telemetry) -> None:
+    # Profiled only: predict rejects --trace, and so ``trace`` rejects it.
+    from .experiments.predictive import run_predictive_comparison
+
+    run_predictive_comparison(seed=seed, **_PREDICT_QUICK)
+
+
+def _simcore_trial(seed, telemetry) -> None:
+    from .simcore import Simulator
+    from .simcore.workloads import canonical_mixed_workload
+
+    sim = Simulator()
+    canonical_mixed_workload(sim, scale=8)
+    sim.run()
+
+
+# -- the table ------------------------------------------------------------------------
+#: ``(description, fn(seed, telemetry) -> headline)``
+_Trial = Tuple[str, Callable[[int, Any], Optional[str]]]
+
+
+class _Experiment(NamedTuple):
+    """One experiment subcommand, declared once (keyed by its name)."""
+
+    help: str
+    #: ``run(args, telemetry)`` -> (text for stdout, ``--out`` document, exit
+    #: status); ``telemetry`` is a hub under ``--trace``, else ``None``
+    run: Callable[[argparse.Namespace, Any], Tuple[str, Any, int]]
+    #: its own argparse arguments, each ``(names, keywords)``
+    flags: Tuple[Tuple[Tuple[str, ...], Dict[str, Any]], ...] = ()
+    #: the shared flags it rejects, from ``_SHARED``
+    rejects: Tuple[str, ...] = ()
+    #: what ``trace`` runs with a hub and ``profile`` under cProfile
+    trial: Optional[_Trial] = None
+
+
+def _flag(*names: str, **keywords: Any):
+    return names, keywords
+
+
+_QUICK = _flag("--quick", action="store_true")
+_TF_TRIAL: _Trial = ("one quick-scale tf-prisma trial", _tf_trial)
+
+EXPERIMENTS: Dict[str, _Experiment] = {
+    "figure2": _Experiment(
+        "TF baseline/optimized/PRISMA training times", _figure2,
+        flags=(
+            _flag("--quick", action="store_true", help="coarser scale, 1 epoch"),
+            _flag("--models", nargs="+", choices=["lenet", "alexnet", "resnet50"]),
+            _flag("--batches", nargs="+", type=int),
+        ),
+        trial=_TF_TRIAL,
+    ),
+    "figure3": _Experiment(
+        "concurrent-reader-thread CDFs", _figure3, flags=(_QUICK,), trial=_TF_TRIAL
+    ),
+    "figure4": _Experiment(
+        "PyTorch worker sweep vs PRISMA", _figure4,
+        flags=(_QUICK, _flag("--workers", nargs="+", type=int)),
+        trial=("one quick-scale torch-prisma trial, 2 workers", _torch_trial),
+    ),
+    "ablation": _Experiment(
+        "design-choice ablations", _ablation,
+        flags=(_flag("which", choices=["autotune", "device", "period"]),),
+        rejects=_SHARED,
+    ),
+    "distributed": _Experiment(
+        "multi-node training over a shared PFS", _distributed,
+        flags=(_flag("--nodes", nargs="+", type=int),), rejects=_SHARED,
+    ),
+    "multitenant": _Experiment(
+        "N jobs on shared storage, 3 control modes", _multitenant,
+        flags=(_flag("--jobs", type=int, default=3),), rejects=_SHARED,
+    ),
+    "latency": _Experiment(
+        "per-read latency distribution, baseline vs PRISMA", _latency, rejects=_SHARED
+    ),
+    "faults-demo": _Experiment(
+        "PRISMA under an injected fault storm", _faults_demo,
+        flags=(_flag("--files", type=int, default=600),),
+        trial=("the default fault storm over 600 files", _fault_trial),
+    ),
+    "writes": _Experiment(
+        "checkpoint write traffic vs the read path, POSIX and object store", _writes,
+        flags=(
+            _flag("--files", type=int, help="training files (default 640)"),
+            _flag("--epochs", type=int, help="epochs (default 2)"),
+            _flag("--quick", action="store_true", help="smaller matrix for a fast look"),
+        ),
+        trial=("checkpoint write workloads, 320 files", _writes_trial),
+    ),
+    "cluster": _Experiment(
+        "sharded peer-to-peer sample serving, cooperative-cache sweep", _cluster,
+        flags=(
+            _flag(
+                "--nodes", nargs="+", type=int,
+                help="cluster sizes to sweep (default 128 256 512 1024)",
+            ),
+            _flag(
+                "--files", type=int, help="catalog size (default 1024; 256 with --quick)"
+            ),
+            _flag("--epochs", type=int, default=2),
+            _flag(
+                "--quick", action="store_true", help="small node counts for a fast look"
+            ),
+        ),
+        trial=("peer-to-peer serving, 64 nodes / 512 files", _cluster_trial),
+    ),
+    "clairvoyant": _Experiment(
+        "reactive vs clairvoyant prefetching over the tier hierarchy", _clairvoyant,
+        flags=(
+            _flag("--files", type=int, default=200),
+            _flag("--epochs", type=int, default=3),
+            _flag(
+                "--lookahead", type=int, default=2,
+                help="epochs of cross-epoch prefetch for the clairvoyant run",
+            ),
+        ),
+        trial=("reactive vs clairvoyant tiering comparison", _clairvoyant_trial),
+    ),
+    "predict": _Experiment(
+        "predictive vs reactive control: sweep, fit, jump to the optimum", _predict,
+        flags=(
+            _flag("--files", type=int, help="comparison files (default 128)"),
+            _flag("--epochs", type=int, help="comparison epochs (default 3)"),
+            _flag(
+                "--quick", action="store_true",
+                help="smaller sweep and workload for a fast look",
+            ),
+            _flag(
+                "--samples", metavar="FILE",
+                help="also write the sweep's training samples as JSONL",
+            ),
+            _flag(
+                "--model-out", metavar="FILE",
+                help="also write the fitted throughput model as JSON",
+            ),
+        ),
+        rejects=("trace",),
+        trial=("predictive-control sweep + head-to-head comparison", _predict_trial),
+    ),
+    "live-demo": _Experiment(
+        "live PRISMA: N real prefetcher pools under one global controller", _live_demo,
+        flags=(
+            _flag("--files", type=int, default=32, help="files per tenant"),
+            _flag("--jobs", type=int, default=2, help="tenant count"),
+            _flag(
+                "--budget", type=int, default=6,
+                help="cluster-wide producer-thread budget",
+            ),
+        ),
+        rejects=("seed",),
+    ),
+}
+
+#: ``trace``'s experiments: every entry with a representative trial.
+_TRIALS: Dict[str, _Trial] = {
+    name: entry.trial for name, entry in EXPERIMENTS.items() if entry.trial is not None
+}
+#: ``profile``'s workloads: the kernel alone, then every experiment's trial.
+_PROFILES: Dict[str, _Trial] = {
+    "simcore": ("canonical mixed kernel workload (scale=8)", _simcore_trial),
+    **_TRIALS,
+}
+
+
+# -- handlers -------------------------------------------------------------------------
+def _run_experiment(name: str, entry: _Experiment, args) -> int:
+    """Run one entry: the hub, the trace file, ``--out``, the text, the status."""
+    code = _unsupported(args, name, entry.rejects)
+    if code is not None:
+        return code
+    from .telemetry import Telemetry, write_chrome_trace
+
+    telemetry = Telemetry() if args.trace else None
+    text, document, status = entry.run(args, telemetry)
+    if telemetry is not None:
+        stats = write_chrome_trace(telemetry, args.trace)
+        _note(args, f"wrote {args.trace} ({stats['events']} trace events)")
     if args.out:
         from .experiments.export import dump_json
 
-        dump_json(report.metrics_dict(), args.out)
+        dump_json(document, args.out)
         _note(args, f"wrote {args.out}")
-    print(format_predictive(report))
-    ok = all(r.live_parity and not r.fell_back for r in report.results)
-    return 0 if ok else 1
+    print(text)
+    return status
 
 
 def _cmd_trace(args) -> int:
-    """One representative traced trial per experiment family."""
+    """One experiment's representative trial, traced to a Chrome-trace file."""
+    code = _unsupported(args, "trace", ("trace",))
+    if code is None:
+        # The traced trial stands in for the experiment's own --trace.
+        rejects = EXPERIMENTS[args.experiment].rejects
+        code = _unsupported(argparse.Namespace(trace=True), args.experiment, rejects)
+    if code is not None:
+        return code
     from .telemetry import Telemetry, write_chrome_trace
 
+    _, trial = _TRIALS[args.experiment]
     out = args.out or "trace.json"
     telemetry = Telemetry()
-    if args.experiment in ("figure2", "figure3"):
-        from .experiments import figure2_scale
-        from .experiments.runner import run_tf_trial
-        from .frameworks.models import LENET
-
-        trial = run_tf_trial(
-            "tf-prisma", LENET, 256, figure2_scale(quick=True),
-            seed=args.seed, telemetry=telemetry,
-        )
-        headline = (
-            f"traced tf-prisma/lenet bs=256: "
-            f"{trial.paper_equivalent_seconds:.0f}s (paper-equivalent)"
-        )
-    elif args.experiment == "figure4":
-        from .experiments import figure4_scale
-        from .experiments.runner import run_torch_trial
-        from .frameworks.models import LENET
-
-        trial = run_torch_trial(
-            "torch-prisma", LENET, 256, 2, figure4_scale(quick=True),
-            seed=args.seed, telemetry=telemetry,
-        )
-        headline = (
-            f"traced torch-prisma/lenet bs=256 w=2: "
-            f"{trial.paper_equivalent_seconds:.0f}s (paper-equivalent)"
-        )
-    else:  # faults-demo
-        from .experiments.faults import run_fault_sweep
-
-        report = run_fault_sweep(seed=args.seed, telemetry=telemetry)
-        headline = (
-            f"traced fault sweep: served {report.files_served} files, "
-            f"{report.serve_failures} failures"
-        )
+    headline = trial(args.seed, telemetry)
     stats = write_chrome_trace(telemetry, out)
     if not args.quiet:
         print(headline)
@@ -503,69 +635,19 @@ def _cmd_demo(_args) -> int:
     return 0
 
 
-#: Named profiling workloads: name -> (description, zero-arg callable).
-#: Each runs a bounded, deterministic simulation heavy enough for a
-#: meaningful cProfile picture (a few hundred thousand kernel events).
-def _profile_workloads():
-    def simcore():
-        from .simcore import Simulator
-        from .simcore.workloads import canonical_mixed_workload
-
-        sim = Simulator()
-        canonical_mixed_workload(sim, scale=8)
-        sim.run()
-
-    def cluster():
-        from .experiments.cluster import run_cluster_serving
-
-        run_cluster_serving(n_nodes=64, n_files=512, epochs=2)
-
-    def writes():
-        from .experiments.writes import run_write_workloads
-
-        run_write_workloads(n_files=320, epochs=1, ckpt_every=4,
-                            ckpt_bytes=48_000_000)
-
-    def clairvoyant():
-        from .experiments.clairvoyant import run_clairvoyant_comparison
-
-        run_clairvoyant_comparison(n_files=200, epochs=3, lookahead_epochs=2)
-
-    def figure2():
-        from .experiments import figure2_scale
-        from .experiments.runner import run_tf_trial
-        from .frameworks.models import LENET
-
-        run_tf_trial("tf-prisma", LENET, 256, figure2_scale(quick=True), seed=0)
-
-    def predict():
-        from .experiments.predictive import run_predictive_comparison
-
-        run_predictive_comparison(n_files=64, epochs=2, sweep_n_files=32)
-
-    return {
-        "simcore": ("canonical mixed kernel workload (scale=8)", simcore),
-        "cluster": ("peer-to-peer serving, 64 nodes / 512 files", cluster),
-        "writes": ("checkpoint write workloads, 320 files", writes),
-        "clairvoyant": ("reactive vs clairvoyant tiering comparison", clairvoyant),
-        "figure2": ("one quick-scale tf-prisma trial", figure2),
-        "predict": ("predictive-control sweep + head-to-head comparison", predict),
-    }
-
-
 def _cmd_profile(args) -> int:
     """cProfile a named benchmark workload; print the hottest functions."""
-    code = _reject_unsupported(args, "profile")
+    code = _unsupported(args, "profile", _SHARED)
     if code is not None:
         return code
     import cProfile
     import pstats
 
-    description, fn = _profile_workloads()[args.workload]
+    description, trial = _PROFILES[args.workload]
     _note(args, f"profiling {args.workload!r}: {description}")
     profiler = cProfile.Profile()
     profiler.enable()
-    fn()
+    trial(0, None)
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
@@ -599,127 +681,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = _shared_flags()
 
-    p2 = sub.add_parser(
-        "figure2", parents=[common],
-        help="TF baseline/optimized/PRISMA training times",
-    )
-    p2.add_argument("--quick", action="store_true", help="coarser scale, 1 epoch")
-    p2.add_argument("--models", nargs="+", choices=["lenet", "alexnet", "resnet50"])
-    p2.add_argument("--batches", nargs="+", type=int)
-    p2.set_defaults(func=_cmd_figure2)
-
-    p3 = sub.add_parser(
-        "figure3", parents=[common], help="concurrent-reader-thread CDFs"
-    )
-    p3.add_argument("--quick", action="store_true")
-    p3.set_defaults(func=_cmd_figure3)
-
-    p4 = sub.add_parser(
-        "figure4", parents=[common], help="PyTorch worker sweep vs PRISMA"
-    )
-    p4.add_argument("--quick", action="store_true")
-    p4.add_argument("--workers", nargs="+", type=int)
-    p4.set_defaults(func=_cmd_figure4)
-
-    pa = sub.add_parser("ablation", parents=[common], help="design-choice ablations")
-    pa.add_argument("which", choices=["autotune", "device", "period"])
-    pa.set_defaults(func=_cmd_ablation)
-
-    pdist = sub.add_parser(
-        "distributed", parents=[common], help="multi-node training over a shared PFS"
-    )
-    pdist.add_argument("--nodes", nargs="+", type=int)
-    pdist.set_defaults(func=_cmd_distributed)
-
-    pmt = sub.add_parser(
-        "multitenant", parents=[common],
-        help="N jobs on shared storage, 3 control modes",
-    )
-    pmt.add_argument("--jobs", type=int, default=3)
-    pmt.set_defaults(func=_cmd_multitenant)
-
-    plat = sub.add_parser(
-        "latency", parents=[common],
-        help="per-read latency distribution, baseline vs PRISMA",
-    )
-    plat.set_defaults(func=_cmd_latency)
-
-    pf = sub.add_parser(
-        "faults-demo", parents=[common], help="PRISMA under an injected fault storm"
-    )
-    pf.add_argument("--files", type=int, default=600)
-    pf.set_defaults(func=_cmd_faults_demo)
-
-    pw = sub.add_parser(
-        "writes", parents=[common],
-        help="checkpoint write traffic vs the read path, POSIX and object store",
-    )
-    pw.add_argument("--files", type=int, default=None, help="training files (default 640)")
-    pw.add_argument("--epochs", type=int, default=None, help="epochs (default 2)")
-    pw.add_argument(
-        "--quick", action="store_true", help="smaller matrix for a fast look"
-    )
-    pw.set_defaults(func=_cmd_writes)
-
-    pcl = sub.add_parser(
-        "cluster", parents=[common],
-        help="sharded peer-to-peer sample serving, cooperative-cache sweep",
-    )
-    pcl.add_argument(
-        "--nodes", nargs="+", type=int,
-        help="cluster sizes to sweep (default 128 256 512 1024)",
-    )
-    pcl.add_argument(
-        "--files", type=int, default=None,
-        help="catalog size (default 1024; 256 with --quick)",
-    )
-    pcl.add_argument("--epochs", type=int, default=2)
-    pcl.add_argument(
-        "--quick", action="store_true", help="small node counts for a fast look"
-    )
-    pcl.set_defaults(func=_cmd_cluster)
-
-    pcv = sub.add_parser(
-        "clairvoyant", parents=[common],
-        help="reactive vs clairvoyant prefetching over the tier hierarchy",
-    )
-    pcv.add_argument("--files", type=int, default=200)
-    pcv.add_argument("--epochs", type=int, default=3)
-    pcv.add_argument(
-        "--lookahead", type=int, default=2,
-        help="epochs of cross-epoch prefetch for the clairvoyant run",
-    )
-    pcv.set_defaults(func=_cmd_clairvoyant)
-
-    ppr = sub.add_parser(
-        "predict", parents=[common],
-        help="predictive vs reactive control: sweep, fit, jump to the optimum",
-    )
-    ppr.add_argument("--files", type=int, default=None, help="comparison files (default 128)")
-    ppr.add_argument("--epochs", type=int, default=None, help="comparison epochs (default 3)")
-    ppr.add_argument(
-        "--quick", action="store_true", help="smaller sweep and workload for a fast look"
-    )
-    ppr.add_argument(
-        "--samples", metavar="FILE",
-        help="also write the sweep's training samples as JSONL",
-    )
-    ppr.add_argument(
-        "--model-out", metavar="FILE",
-        help="also write the fitted throughput model as JSON",
-    )
-    ppr.set_defaults(func=_cmd_predict)
-
-    plive = sub.add_parser(
-        "live-demo", parents=[common],
-        help="live PRISMA: N real prefetcher pools under one global controller",
-    )
-    plive.add_argument("--files", type=int, default=32, help="files per tenant")
-    plive.add_argument("--jobs", type=int, default=2, help="tenant count")
-    plive.add_argument(
-        "--budget", type=int, default=6, help="cluster-wide producer-thread budget"
-    )
-    plive.set_defaults(func=_cmd_live_demo)
+    for name, entry in EXPERIMENTS.items():
+        p = sub.add_parser(name, parents=[common], help=entry.help)
+        for names, keywords in entry.flags:
+            p.add_argument(*names, **keywords)
+        p.set_defaults(func=partial(_run_experiment, name, entry))
 
     pt = sub.add_parser(
         "trace", parents=[common],
@@ -727,8 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pt.add_argument(
         "--experiment",
-        choices=["figure2", "figure3", "figure4", "faults-demo"],
-        default="figure2",
+        choices=list(_TRIALS),
+        default=next(iter(_TRIALS)),  # the Figure-2 trial
         help="which experiment family to trace",
     )
     pt.set_defaults(func=_cmd_trace)
@@ -742,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pp.add_argument(
         "workload",
-        choices=["simcore", "cluster", "writes", "clairvoyant", "figure2", "predict"],
+        choices=list(_PROFILES),
         help="which canonical workload to profile",
     )
     pp.add_argument(

@@ -88,6 +88,7 @@ def _run_prisma_tf(
     )
     result = trainer.run_to_completion()
     controller.stop()
+    sim.close()
     return scale.paper_equivalent(result.total_time), prefetcher
 
 

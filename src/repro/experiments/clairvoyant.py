@@ -222,6 +222,7 @@ def run_clairvoyant_comparison(
         )
         if telemetry is not None:
             telemetry.detach()
+        sim.close()
         return result
 
     return ClairvoyantReport(

@@ -62,7 +62,9 @@ def run_distributed_sweep(
             global_batch=global_batch, epochs=1, streams=streams.spawn("job"),
             use_prisma=use_prisma, control_period=1.0 / scale,
         )
-        return job.run()
+        result = job.run()
+        sim.close()
+        return result
 
     return [
         DistributedSweepRow(n, one(n, False), one(n, True)) for n in node_counts
@@ -147,6 +149,7 @@ def run_multitenant_comparison(
                 ),
             )
         )
+        sim.close()
     return rows
 
 
@@ -200,6 +203,7 @@ def run_latency_comparison(
         if controller is not None:
             controller.stop()
         summaries[setup] = recorder.summary()
+        sim.close()
     return summaries
 
 

@@ -237,8 +237,11 @@ def run_fault_sweep(
         },
         failures=failures,
     )
+    # The result is built: unhook the injector and free the run's stack.
+    fs.fault_hook = None
     if telemetry is not None:
         telemetry.detach()
+    sim.close()
     return report
 
 

@@ -185,7 +185,7 @@ def run_policy_trial(
     controller.stop()
     snapshots = controller.history_for(stage.name).snapshots()
     rates = windowed_rates(snapshots)
-    return PolicyTrial(
+    trial = PolicyTrial(
         policy=label,
         total_periods=len(snapshots),
         steady_throughput=steady_rate(rates),
@@ -194,6 +194,8 @@ def run_policy_trial(
         sim_seconds=result.total_time,
         snapshots=snapshots,
     )
+    sim.close()
+    return trial
 
 
 # ---------------------------------------------------------------- parity

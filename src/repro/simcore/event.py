@@ -251,8 +251,15 @@ class AnyOf(Event):
             return
         if not ev.ok:
             self.fail(ev.exception)  # propagate first failure
-            return
-        self.succeed({e: e._value for e in self.events if e.triggered and e.ok})
+        else:
+            self.succeed({e: e._value for e in self.events if e.triggered and e.ok})
+        # Fired: a child still pending (a deadline, say) would hold this
+        # event, and its simulator, in a cycle through the callback.
+        callback = self._on_child
+        for e in self.events:
+            callbacks = e.callbacks
+            if callbacks and callback in callbacks:
+                callbacks.remove(callback)
 
 
 class AllOf(Event):

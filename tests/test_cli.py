@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXPERIMENTS, build_parser, main
 
 
 def test_parser_subcommands_exist():
@@ -123,3 +123,64 @@ def test_predict_quick_runs_and_exports(capsys, tmp_path):
 
 def test_predict_rejects_trace(capsys):
     assert main(["predict", "--trace", "/tmp/t.json"]) == 2
+
+
+#: The shared flags an experiment rejects; the others accept all three.
+REJECTED = {
+    "ablation": {"--seed", "--trace", "--out"},
+    "distributed": {"--seed", "--trace", "--out"},
+    "multitenant": {"--seed", "--trace", "--out"},
+    "latency": {"--seed", "--trace", "--out"},
+    "live-demo": {"--seed"},  # wall-clock runs are not reproducible
+    "predict": {"--trace"},
+}
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--trace", "--out"])
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_experiment_shared_flag_contract(name, flag, monkeypatch, tmp_path, capsys):
+    """Each shared flag an experiment rejects exits 2 with its message;
+    every other one reaches the experiment's run.  The run is a stub: no
+    experiment runs."""
+    import json
+
+    from repro.telemetry import validate_chrome_trace
+
+    entry = EXPERIMENTS[name]
+    positionals = [
+        keywords["choices"][0] for names, keywords in entry.flags
+        if not names[0].startswith("-")
+    ]
+    value = "7" if flag == "--seed" else str(tmp_path / "file.json")
+    argv = [name, *positionals, flag, value]
+    if flag in REJECTED.get(name, ()):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {flag} is not supported for {name!r}\n"
+        assert not (tmp_path / "file.json").exists()
+        return
+
+    seen = {}
+
+    def run(args, telemetry):
+        seen.update(seed=args.seed, telemetry=telemetry)
+        return "the text", {"the": "document"}, 0
+
+    monkeypatch.setitem(EXPERIMENTS, name, entry._replace(run=run))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "the text\n"
+    assert seen["seed"] == (7 if flag == "--seed" else 0)
+    assert (seen["telemetry"] is not None) == (flag == "--trace")
+    if flag == "--out":
+        assert json.loads((tmp_path / "file.json").read_text()) == {"the": "document"}
+    if flag == "--trace":
+        trace = json.loads((tmp_path / "file.json").read_text())
+        assert validate_chrome_trace(trace) is None
+
+
+def test_trace_rejects_its_own_trace_flag_and_untraceable_experiments(tmp_path, capsys):
+    assert main(["trace", "--trace", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == "error: --trace is not supported for 'trace'\n"
+    argv = ["trace", "--experiment", "predict", "--out", str(tmp_path / "t.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --trace is not supported for 'predict'\n"
+    assert list(tmp_path.iterdir()) == []

@@ -14,14 +14,25 @@ from types import FunctionType
 
 import pytest
 
+from repro.core import PrismaAutotunePolicy
 from repro.experiments import runner
+from repro.experiments.ablation import static_grid
+from repro.experiments.clairvoyant import run_clairvoyant_comparison
 from repro.experiments.cluster import run_cluster_serving
 from repro.experiments.config import ExperimentScale, figure2_scale
+from repro.experiments.extensions import (
+    run_distributed_sweep,
+    run_latency_comparison,
+    run_multitenant_comparison,
+)
+from repro.experiments.faults import run_fault_sweep
+from repro.experiments.predictive import run_policy_trial
 from repro.experiments.runner import run_tf_trial, run_torch_trial
 from repro.experiments.writes import run_write_workloads
 from repro.frameworks.models import ALEXNET, LENET, RESNET50
-from repro.simcore import Simulator, Store
+from repro.simcore import AnyOf, Simulator, Store
 from repro.simcore.resources import ResourceRequest
+from repro.storage.backend import BackendConfig
 from repro.telemetry import Telemetry
 
 SCALE = ExperimentScale(scale=1000, epochs=1)
@@ -125,6 +136,17 @@ RUNNERS = {
     "torch-prisma-w0": lambda: run_torch_trial("torch-prisma", LENET, BATCH, 0, SCALE),
     "torch-prisma-w4": lambda: run_torch_trial("torch-prisma", LENET, BATCH, 4, SCALE),
     "write-matrix": lambda: run_write_workloads(0, n_files=64, epochs=1),
+    "fault-sweep": lambda: run_fault_sweep(n_files=60),
+    "clairvoyant": lambda: run_clairvoyant_comparison(n_files=40, epochs=2),
+    "distributed": lambda: run_distributed_sweep(node_counts=(2,), scale=1000),
+    "multitenant": lambda: run_multitenant_comparison(n_jobs=2, files_per_job=32),
+    "policy-trial": lambda: run_policy_trial(
+        BackendConfig(), PrismaAutotunePolicy(), "reactive", n_files=32, epochs=1
+    ),
+    "ablation-static-grid": lambda: static_grid(
+        producers=(2,), buffers=(64,), scale=SCALE
+    ),
+    "latency": lambda: run_latency_comparison(scale=1000, sample_count=200),
 }
 
 
@@ -233,6 +255,26 @@ def test_closed_simulator_is_freed_by_reference_counting():
     try:
         sim.close()
         del sim
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_fired_any_of_drops_its_callback_from_a_pending_deadline():
+    """``run(until=AnyOf([done, timeout(limit)]))``: once ``done`` fires,
+    the deadline's callback no longer holds the ``AnyOf`` in a cycle."""
+    sim = Simulator()
+    done, deadline = sim.timeout(1.0, "done"), sim.timeout(10.0)
+    first = AnyOf(sim, [done, deadline])
+    assert sim.run(until=first) == {done: "done"}
+    assert deadline.callbacks == []
+    ref = weakref.ref(sim)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim.close()
+        del first, done, deadline, sim
         assert ref() is None
     finally:
         if enabled:
