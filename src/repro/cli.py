@@ -641,8 +641,20 @@ def _cmd_profile(args) -> int:
     if code is not None:
         return code
     import cProfile
+    import importlib
+    import pkgutil
     import pstats
 
+    import repro
+
+    # Load numpy and every module first, so the report shows the workload
+    # rather than the lazy imports its first run would make.
+    names = ["numpy", "numpy.random"] + [
+        module.name for module in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not module.name.endswith("__main__")
+    ]
+    for name in names:
+        importlib.import_module(name)
     description, trial = _PROFILES[args.workload]
     _note(args, f"profiling {args.workload!r}: {description}")
     profiler = cProfile.Profile()

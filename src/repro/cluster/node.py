@@ -25,8 +25,7 @@ extended across nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..core.control.retry import RetryPolicy, RpcError
 from ..core.control.rpc import ControlChannel
@@ -34,7 +33,7 @@ from ..core.tiering import TieringObject
 from ..simcore.errors import process_error
 from ..simcore.event import Event, chain_result
 from ..storage.filesystem import Filesystem
-from ..storage.posix import BadFileDescriptor, PosixLike
+from ..storage.posix import PosixLike
 from ..telemetry import CounterSet
 from .shard import ShardMap, UnknownSample
 
@@ -196,12 +195,6 @@ class ClusterNode:
         )
 
 
-@dataclass
-class _OpenFile:
-    path: str
-    offset: int = 0
-
-
 class ClusterMount(PosixLike):
     """POSIX facade over one node's view of the cluster store.
 
@@ -213,60 +206,22 @@ class ClusterMount(PosixLike):
     """
 
     def __init__(self, node: ClusterNode) -> None:
+        super().__init__(node.sim)
         self.node = node
-        self.sim = node.sim
-        self._pread_name = f"{node.name}.pread"
-        self._read_name = f"{node.name}.read"
-        self._next_fd = 3
-        self._open: Dict[int, _OpenFile] = {}
 
-    # -- descriptor management ---------------------------------------------------
-    def open(self, path: str) -> int:
-        self.node.store.backing.stat(path)  # raises FileNotFound
-        fd = self._next_fd
-        self._next_fd += 1
-        self._open[fd] = _OpenFile(path)
-        return fd
+    def size(self, path: str) -> int:
+        return self.node.store.backing.stat(path).size  # raises FileNotFound
 
-    def _entry(self, fd: int) -> _OpenFile:
-        try:
-            return self._open[fd]
-        except KeyError:
-            raise BadFileDescriptor(fd) from None
-
-    def close(self, fd: int) -> None:
-        self._entry(fd)
-        del self._open[fd]
-
-    def fstat_size(self, fd: int) -> int:
-        return self.node.store.backing.stat(self._entry(fd).path).size
-
-    # -- data path ----------------------------------------------------------------
-    def _whole(self, path: str) -> Event:
-        if self.node.shard_map.covers(path):
-            return self.node.read(path)
-        return self.node.store.backing.read_whole(path)
-
-    def pread(self, fd: int, length: int, offset: int) -> Event:
-        entry = self._entry(fd)
-        if offset == 0 and self.node.shard_map.covers(entry.path):
-            done = Event(self.sim, name=self._pread_name)
+    def read_range(self, path: str, offset: int, length: int) -> Event:
+        if offset == 0 and self.node.shard_map.covers(path):
+            done = Event(self.sim, name=f"{self.node.name}.pread")
             return chain_result(
-                self.node.read(entry.path), done, lambda nbytes: min(nbytes, length)
+                self.node.read(path), done, lambda nbytes: min(nbytes, length)
             )
-        return self.node.store.backing.read(entry.path, offset, length)
-
-    def read(self, fd: int, length: int) -> Event:
-        entry = self._entry(fd)
-        done = Event(self.sim, name=self._read_name)
-        inner = self.pread(fd, length, entry.offset)
-
-        def advance(nbytes: int) -> int:
-            entry.offset += nbytes
-            return nbytes
-
-        return chain_result(inner, done, advance)
+        return self.node.store.backing.read(path, offset, length)
 
     def read_whole(self, path: str) -> Event:
         """Whole-sample read through the cooperative cache (prefetcher API)."""
-        return self._whole(path)
+        if self.node.shard_map.covers(path):
+            return self.node.read(path)
+        return self.node.store.backing.read_whole(path)

@@ -81,13 +81,15 @@ class LiveController:
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=3, base_delay=period / 20, max_delay=period / 4, budget=period
         )
-        self._frame = _WallClockFrame()
+        frame = self._frame = _WallClockFrame()
         if telemetry is not None:
-            telemetry.attach(self._frame, process=name)
+            telemetry.attach(frame, process=name)
+        # The closures capture ``frame``, not ``self``: a controller held by
+        # its own cycle would outlive its last user until a collector pass.
         self.kernel = ControlCycle(
             name,
-            clock=lambda: self._frame.now,
-            telemetry=lambda: self._frame.telemetry,
+            clock=lambda: frame.now,
+            telemetry=lambda: frame.telemetry,
             global_policy=global_policy,
         )
         self.prefetcher = prefetcher

@@ -18,22 +18,15 @@ modules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from ..simcore.event import Event, chain_result
 from ..telemetry import CounterSet
-from ..storage.posix import BadFileDescriptor, PosixLike
+from ..storage.posix import PosixLike
 from .optimization import MetricsSnapshot, OptimizationObject, TuningSettings
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.kernel import Simulator
-
-
-@dataclass
-class _StageOpenFile:
-    path: str
-    offset: int = 0
 
 
 class PrismaStage(PosixLike):
@@ -45,22 +38,12 @@ class PrismaStage(PosixLike):
         backend: PosixLike,
         optimizations: Optional[List[OptimizationObject]] = None,
         name: str = "prisma.stage",
-        latency_recorder=None,
     ) -> None:
-        self.sim = sim
+        super().__init__(sim)
         self.backend = backend
         self.name = name
-        self._read_name = f"{name}.read"
-        self._pread_name = f"{name}.pread"
-        self._bpread_name = f"{name}.bpread"
         self.optimizations: List[OptimizationObject] = list(optimizations or [])
-        self._next_fd = 1000  # distinct range from the backend's table
-        self._open: Dict[int, _StageOpenFile] = {}
         self.counters = CounterSet(sim.metrics, "prefetch", name)
-        #: optional :class:`~repro.telemetry.LatencyRecorder` fed
-        #: with per-request service times (the monitoring plane's "I/O rate"
-        #: metrics, at distribution granularity)
-        self.latency_recorder = latency_recorder
         #: workload feature labels (backend kind, batch size, lookahead …)
         #: merged into every ``control.decision`` instant so exported
         #: telemetry is self-describing performance-model training data;
@@ -76,30 +59,8 @@ class PrismaStage(PosixLike):
             opt.on_epoch(paths)
 
     # -- POSIX facade ------------------------------------------------------------
-    def open(self, path: str) -> int:
-        fd = self._next_fd
-        self._next_fd += 1
-        self._open[fd] = _StageOpenFile(path)
-        return fd
-
-    def _entry(self, fd: int) -> _StageOpenFile:
-        try:
-            return self._open[fd]
-        except KeyError:
-            raise BadFileDescriptor(fd) from None
-
-    def close(self, fd: int) -> None:
-        self._entry(fd)
-        del self._open[fd]
-
-    def fstat_size(self, fd: int) -> int:
-        # Metadata is not intercepted; ask the backend.
-        path = self._entry(fd).path
-        bfd = self.backend.open(path)
-        try:
-            return self.backend.fstat_size(bfd)
-        finally:
-            self.backend.close(bfd)
+    def size(self, path: str) -> int:
+        return self.backend.size(path)  # metadata is not intercepted
 
     def _serve_whole(self, path: str) -> Event:
         """Offer the read to optimization objects, else hit the backend.
@@ -124,74 +85,30 @@ class PrismaStage(PosixLike):
             event = opt.serve(path)
             if event is not None:
                 self.counters.optimized_reads.value += 1
-                break
-        else:
-            self.counters.add("fallback_reads")
-            event = self.backend.read_whole(path)
-        if self.latency_recorder is not None:
-            self._timed(event)
-        return event
+                return event
+        self.counters.add("fallback_reads")
+        return self.backend.read_whole(path)
 
-    def _timed(self, event: Event) -> None:
-        """Feed the request's service time to the latency recorder."""
-        start = self.sim.now
-        event.add_callback(
-            lambda ev: self.latency_recorder.record(self.sim.now, self.sim.now - start)
-            if ev.ok
-            else None
-        )
-
-    def pread(self, fd: int, length: int, offset: int) -> Event:
+    def read_range(self, path: str, offset: int, length: int) -> Event:
         """Positional read — the call TensorFlow's integration replaces.
 
         Whole-file reads from offset 0 (the DL sample-load pattern) are
-        routed through the optimization objects; partial reads fall through
-        to the backend untouched, preserving POSIX semantics for any other
-        access pattern.
+        routed through the optimization objects and clamped to ``length``;
+        partial reads fall through to the backend untouched, preserving
+        POSIX semantics for any other access pattern.
         """
-        entry = self._entry(fd)
         if offset == 0:
-            return self._clamped_whole(entry.path, length)
-        return self._backend_pread(entry.path, length, offset)
-
-    def read(self, fd: int, length: int) -> Event:
-        entry = self._entry(fd)
-        done = Event(self.sim, name=self._read_name)
-        if entry.offset == 0:
-            inner = self._clamped_whole(entry.path, length)
-        else:
-            inner = self._backend_pread(entry.path, length, entry.offset)
-
-        def advance(nbytes: int) -> int:
-            entry.offset += nbytes
-            return nbytes
-
-        return chain_result(inner, done, advance)
+            self.counters.reads.value += 1
+            done = Event(self.sim, name=f"{self.name}.pread")
+            return chain_result(self._serve_whole(path), done, lambda nbytes: min(nbytes, length))
+        self.counters.add("fallback_reads")
+        return self.backend.read_range(path, offset, length)
 
     def read_whole(self, path: str) -> Event:
         self.counters.reads.value += 1
         if self.sim.telemetry is None:
             return self._route_whole(path)  # untraced: no root span to open
         return self._serve_whole(path)
-
-    # -- helpers ---------------------------------------------------------------
-    def _clamped_whole(self, path: str, length: int) -> Event:
-        """Whole-file service, clamped to ``length`` for POSIX fidelity."""
-        done = Event(self.sim, name=self._pread_name)
-        inner = self._serve_whole(path)
-        chain_result(inner, done, lambda nbytes: min(nbytes, length))
-        self.counters.reads.value += 1
-        return done
-
-    def _backend_pread(self, path: str, length: int, offset: int) -> Event:
-        self.counters.add("fallback_reads")
-        bfd = self.backend.open(path)
-        done = Event(self.sim, name=self._bpread_name)
-        inner = self.backend.pread(bfd, length, offset)
-
-        # Callbacks run in registration order: close before forwarding.
-        inner.add_callback(lambda ev: self.backend.close(bfd))
-        return chain_result(inner, done)
 
     # -- control interface ----------------------------------------------------------
     def control_snapshot(self) -> List[MetricsSnapshot]:

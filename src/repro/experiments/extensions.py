@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..core import PrismaConfig, PrismaStage, build_prisma
+from ..core import PrismaConfig, build_prisma
 from ..dataset.synthetic import imagenet_like, tiny_dataset
 from ..distributed import DistributedResult, DistributedTrainingJob
 from ..frameworks.models import LENET, ModelProfile
@@ -27,6 +27,7 @@ from ..storage.device import BlockDevice, intel_p4600
 from ..storage.distributed import DistributedFilesystem
 from ..storage.filesystem import Filesystem
 from ..storage.posix import PosixLayer
+from ..traces.recorder import TracingPosix
 
 
 # -- distributed training ------------------------------------------------------------
@@ -181,18 +182,16 @@ def run_latency_comparison(
         split = imagenet_like(streams, scale=scale)
         split.train.materialize(fs)
         posix = PosixLayer(sim, fs)
-        recorder = LatencyRecorder(setup)
         paths = split.train.filenames()[:sample_count]
         if setup == "prisma":
             stage, prefetcher, controller = build_prisma(
                 sim, posix, PrismaConfig(control_period=1.0 / scale)
             )
-            stage.latency_recorder = recorder
             stage.load_epoch(paths)
-            reader = stage
+            reader = TracingPosix(sim, stage)
         else:
             controller = None
-            reader = PrismaStage(sim, posix, [], latency_recorder=recorder)
+            reader = TracingPosix(sim, posix)
 
         def consumer():
             for path in paths:
@@ -202,6 +201,9 @@ def run_latency_comparison(
         sim.run(until=p)
         if controller is not None:
             controller.stop()
+        recorder = LatencyRecorder(setup)
+        for record in reader.trace:
+            recorder.record(record.completion_time, record.latency)
         summaries[setup] = recorder.summary()
         sim.close()
     return summaries

@@ -234,6 +234,7 @@ def check_live_parity(snapshots: Sequence, make_policy) -> bool:
     sim_ctl.start()
     sim.run(until=len(snapshots) + 0.5)
     sim_ctl.stop()
+    sim.close()
 
     live_port = _ScriptedPort("stage", snapshots)
     live_ctl = LiveController()

@@ -88,6 +88,7 @@ def run_sweep_trial(
     )
     result = trainer.run_to_completion()
     controller.stop()
+    sim.close()
     if result.total_time <= 0:
         raise RuntimeError("sweep trial finished with zero simulated time")
     return PerfSample(

@@ -1,8 +1,8 @@
 """Latency recording at distribution granularity.
 
 Previously homed in ``repro.metrics.timeseries``; now part of the unified
-telemetry subsystem so the stage, the live data plane, and the experiments
-all feed the same recorder type.
+telemetry subsystem so trace replay and the experiments feed the same
+recorder type.
 """
 
 from __future__ import annotations

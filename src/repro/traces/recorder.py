@@ -30,7 +30,7 @@ class TracingPosix(PosixLike):
         header: Optional[TraceHeader] = None,
         source_label: str = "backend",
     ) -> None:
-        self.sim = sim
+        super().__init__(sim)
         self.inner = inner
         self.trace = Trace(header)
         self.source_label = source_label
@@ -56,17 +56,8 @@ class TracingPosix(PosixLike):
         return event
 
     # -- pass-through ------------------------------------------------------------
-    def open(self, path: str) -> int:
-        return self.inner.open(path)
+    def size(self, path: str) -> int:
+        return self.inner.size(path)
 
-    def close(self, fd: int) -> None:
-        self.inner.close(fd)
-
-    def fstat_size(self, fd: int) -> int:
-        return self.inner.fstat_size(fd)
-
-    def pread(self, fd: int, length: int, offset: int) -> Event:
-        return self.inner.pread(fd, length, offset)
-
-    def read(self, fd: int, length: int) -> Event:
-        return self.inner.read(fd, length)
+    def read_range(self, path: str, offset: int, length: int) -> Event:
+        return self.inner.read_range(path, offset, length)

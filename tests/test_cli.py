@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
@@ -85,6 +90,20 @@ def test_profile_command_dumps_hot_functions(capsys):
     out = capsys.readouterr().out
     assert "cumulative" in out  # pstats sort header
     assert "kernel.py" in out  # the kernel shows up in the hot list
+
+
+def test_profile_reports_the_workload_not_its_imports():
+    """In a fresh interpreter, every module is loaded before the profiler
+    starts, so no row of the report is module loading."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "repro", "profile", "simcore", "--sort", "cumulative",
+         "--top", "400"],
+        env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.PIPE, text=True,
+        check=True, timeout=300,
+    ).stdout
+    assert "kernel.py" in out
+    assert "_find_and_load" not in out
 
 
 def test_profile_rejects_unknown_workload_and_shared_flags():

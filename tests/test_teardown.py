@@ -15,6 +15,7 @@ from types import FunctionType
 import pytest
 
 from repro.core import PrismaAutotunePolicy
+from repro.core.live import LiveController
 from repro.experiments import runner
 from repro.experiments.ablation import static_grid
 from repro.experiments.clairvoyant import run_clairvoyant_comparison
@@ -26,10 +27,11 @@ from repro.experiments.extensions import (
     run_multitenant_comparison,
 )
 from repro.experiments.faults import run_fault_sweep
-from repro.experiments.predictive import run_policy_trial
+from repro.experiments.predictive import check_live_parity, run_policy_trial
 from repro.experiments.runner import run_tf_trial, run_torch_trial
 from repro.experiments.writes import run_write_workloads
 from repro.frameworks.models import ALEXNET, LENET, RESNET50
+from repro.perfmodel.sweep import run_sweep_trial
 from repro.simcore import AnyOf, Simulator, Store
 from repro.simcore.resources import ResourceRequest
 from repro.storage.backend import BackendConfig
@@ -147,6 +149,14 @@ RUNNERS = {
         producers=(2,), buffers=(64,), scale=SCALE
     ),
     "latency": lambda: run_latency_comparison(scale=1000, sample_count=200),
+    "sweep-trial": lambda: run_sweep_trial(BackendConfig(), 2, 64, n_files=32, epochs=1),
+    "live-parity": lambda: check_live_parity(
+        run_policy_trial(
+            BackendConfig(), PrismaAutotunePolicy(), "reactive", n_files=32, epochs=1
+        ).snapshots,
+        PrismaAutotunePolicy,
+    ),
+    "live-controller": LiveController,
 }
 
 

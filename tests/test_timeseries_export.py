@@ -60,34 +60,6 @@ def test_bin_rate_validation():
     assert bin_rate([], 1.0) == []
 
 
-# ---------------------------------------------------------------- stage recording
-def test_stage_feeds_latency_recorder():
-    from repro.core import ParallelPrefetcher, PrismaStage
-    from repro.dataset import tiny_dataset
-    from repro.simcore import RandomStreams, Simulator
-    from repro.storage import BlockDevice, Filesystem, PosixLayer, sata_hdd
-
-    streams = RandomStreams(0)
-    sim = Simulator()
-    fs = Filesystem(sim, BlockDevice(sim, sata_hdd()))
-    split = tiny_dataset(streams, n_train=8, n_val=2)
-    split.materialize(fs)
-    posix = PosixLayer(sim, fs)
-    rec = LatencyRecorder("stage")
-    pf = ParallelPrefetcher(sim, posix, producers=2, buffer_capacity=16)
-    stage = PrismaStage(sim, posix, [pf], latency_recorder=rec)
-    stage.load_epoch(split.train.filenames())
-
-    def consumer():
-        for path in split.train.filenames():
-            yield stage.read_whole(path)
-
-    p = sim.process(consumer())
-    sim.run(until=p)
-    assert rec.total_observed == 8
-    assert rec.summary().maximum > 0
-
-
 # ---------------------------------------------------------------- JSON export
 def test_figure2_export_roundtrip(tmp_path):
     from repro.experiments import ExperimentScale, run_figure2
