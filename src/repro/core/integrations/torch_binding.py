@@ -101,12 +101,13 @@ class PrismaTorchClient(PosixLike):
     """Per-worker PRISMA client (the paper's per-process client instance).
 
     Data reads travel over the socket to the server; ``size`` (behind
-    ``open`` and ``fstat``) is resolved locally against the shared catalog
-    of sizes, mirroring the prototype where only ``read`` is intercepted
-    (§IV: "PRISMA's POSIX interface exposes a single read method").  The
-    protocol carries whole samples: a read from offset 0 is served whole,
-    clamped to its length, and a read from any other offset raises
-    :class:`~repro.storage.filesystem.InvalidRead`.
+    ``open`` and ``fstat``) is resolved locally by ``size_lookup`` (the
+    loaders pass the stage's ``size``: the backend's metadata, which the
+    stage does not intercept), mirroring the prototype where only ``read``
+    is intercepted (§IV: "PRISMA's POSIX interface exposes a single read
+    method").  The protocol carries whole samples: a read from offset 0 is
+    served whole, clamped to its length, and a read from any other offset
+    raises :class:`~repro.storage.filesystem.InvalidRead`.
     """
 
     def __init__(
@@ -163,9 +164,7 @@ class PrismaTorchDataLoader(TorchDataLoader):
     """
 
     def __init__(self, sim, catalog, shuffler, batch_size, stage, server, model, **kwargs):
-        factory = make_torch_posix_factory(
-            sim, server, lambda path: catalog.size(_index_of(catalog, path))
-        )
+        factory = make_torch_posix_factory(sim, server, stage.size)
         super().__init__(sim, catalog, shuffler, batch_size, factory, model, **kwargs)
         self.stage = stage
 
@@ -173,11 +172,6 @@ class PrismaTorchDataLoader(TorchDataLoader):
         super().begin_epoch(epoch)
         paths = self.catalog.paths
         self.stage.load_epoch([paths[i] for i in self.shuffler.order(epoch)])
-
-
-def _index_of(catalog, path: str) -> int:
-    """Recover a sample index from its generated path."""
-    return int(path.rsplit("/", 1)[1])
 
 
 def make_torch_posix_factory(sim: "Simulator", server: PrismaUDSServer, size_lookup):

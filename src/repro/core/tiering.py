@@ -63,19 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..storage.backend import SampleSource
 
 
-def _validate_byte_capacity(value: object, name: str = "fast_capacity_bytes") -> int:
-    """Normalize a byte capacity to a positive int.
-
-    Thin wrapper over the protocol-level
-    :func:`~repro.storage.backend.validate_byte_count` (kept under its
-    historical name for existing callers): byte accounting is integer
-    arithmetic, so ``bool``, NaN, infinities, and fractional floats are
-    rejected; integral floats (a policy computing ``0.5 * total``) are
-    normalized to int.
-    """
-    return validate_byte_count(value, name)
-
-
 @dataclass(frozen=True)
 class TieringConfig:
     """Validated tier-hierarchy knobs for :class:`~repro.core.PrismaConfig`.
@@ -97,7 +84,7 @@ class TieringConfig:
         object.__setattr__(
             self,
             "fast_capacity_bytes",
-            _validate_byte_capacity(self.fast_capacity_bytes, "fast_capacity_bytes"),
+            validate_byte_count(self.fast_capacity_bytes, "fast_capacity_bytes"),
         )
         if isinstance(self.promote_after, bool) or not isinstance(self.promote_after, int):
             raise ValueError(f"promote_after must be an int, got {self.promote_after!r}")
@@ -114,9 +101,7 @@ class TieringConfig:
             object.__setattr__(
                 self,
                 "backing_capacity_bytes",
-                _validate_byte_capacity(
-                    self.backing_capacity_bytes, "backing_capacity_bytes"
-                ),
+                validate_byte_count(self.backing_capacity_bytes, "backing_capacity_bytes"),
             )
             if self.fast_capacity_bytes >= self.backing_capacity_bytes:
                 raise ValueError(
@@ -143,7 +128,7 @@ class TieringObject(OptimizationObject):
         if promote_after < 1:
             raise ValueError("promote_after must be >= 1")
         self.fast_fs = fast_fs
-        self.fast_capacity_bytes = _validate_byte_capacity(fast_capacity_bytes)
+        self.fast_capacity_bytes = validate_byte_count(fast_capacity_bytes, "fast_capacity_bytes")
         self.promote_after = promote_after
         #: where tier fills read their bytes from; ``None`` means the
         #: backend.  The cluster layer points this at a peer's tier so a
@@ -358,7 +343,7 @@ class TieringObject(OptimizationObject):
             self.promote_after = int(promote_after)
         capacity = settings.extra.get("fast_capacity_bytes")
         if capacity is not None:
-            self.fast_capacity_bytes = _validate_byte_capacity(capacity)
+            self.fast_capacity_bytes = validate_byte_count(capacity, "fast_capacity_bytes")
             self._evict_for(0)
 
     # -- observability -----------------------------------------------------------

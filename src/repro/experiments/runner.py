@@ -252,10 +252,7 @@ def run_torch_trial(
         )
         # Validation reads go through the clients too, but are not in the
         # prefetch list, so the stage falls back to the backend (§V-A).
-        val = split.validation
-        factory = make_torch_posix_factory(
-            sim, server, lambda path: val.size(int(path.rsplit("/", 1)[1]))
-        )
+        factory = make_torch_posix_factory(sim, server, stage.size)
         val_src = TorchDataLoader(
             sim, split.validation, env.val_shuffler, batch_size, factory, model,
             num_workers=num_workers, name="val",

@@ -2,15 +2,16 @@
 
 Models the I/O stack under the DL frameworks: block devices with realistic
 concurrency scaling (:mod:`.device`, :mod:`.fluid`), an LRU page cache
-(:mod:`.cache`), a filesystem namespace (:mod:`.filesystem`), an S3-like
-object store (:mod:`.object_store`), the POSIX interception seam PRISMA
-hooks (:mod:`.posix`), and a shared distributed PFS for multi-tenant
-scenarios (:mod:`.distributed`).
+(:mod:`.cache`), the backend base class and the local filesystem
+(:mod:`.filesystem`), an S3-like object store (:mod:`.object_store`), the
+POSIX interception seam PRISMA hooks (:mod:`.posix`), and a shared
+distributed PFS for multi-tenant scenarios (:mod:`.distributed`).
 
-All backends implement the :class:`~repro.storage.backend.StorageBackend`
-protocol (:mod:`.backend`), and :func:`~repro.storage.backend.build_backend`
-constructs any of them from a validated
-:class:`~repro.storage.backend.BackendConfig`.
+All three backends subclass :class:`~repro.storage.filesystem.StorageBackend`,
+which owns the namespace every backend shares and leaves each its data
+path; :mod:`.backend` re-exports it, and
+:func:`~repro.storage.backend.build_backend` constructs a local filesystem or
+an object store from a validated :class:`~repro.storage.backend.BackendConfig`.
 """
 
 from .backend import (

@@ -1,14 +1,14 @@
-"""The storage-backend protocol: the seam every PRISMA consumer codes against.
+"""The storage-backend seam every PRISMA consumer codes against.
 
 The paper's decoupling argument cuts both ways: if storage optimizations
 live in a layer of their own, that layer must not care *which* storage it
-optimizes.  Historically the codebase expressed this as an implicit
-``Filesystem`` duck-type — anything with ``read``/``read_file``/``stat``
-worked, but nothing named the contract, and each new backend (the
-distributed PFS, now the object store) rediscovered it by grep.
-
-:class:`StorageBackend` makes the contract explicit.  Three implementations
-conform —
+optimizes.  :class:`StorageBackend` (defined beside
+:class:`~repro.storage.filesystem.SimFile` and re-exported here) is that
+contract as a base class: it owns the flat namespace (``create``,
+``create_many``, ``exists``, ``stat``, ``unlink``, ``list_prefix``,
+``file_count``, ``total_bytes``), ``read_whole`` and the read extent, and
+each backend supplies only its data path (``read``, ``write``,
+``bytes_read``, ``bytes_written``).  Three backends subclass it —
 
 * :class:`~repro.storage.filesystem.Filesystem` — local device + page cache;
 * :class:`~repro.storage.distributed.DistributedFilesystem` — hash-placed
@@ -19,11 +19,12 @@ conform —
 
 and every consumer (the POSIX facade, prefetcher, tiering promotion source,
 cluster backing store, checkpoint writer, experiment runners) types against
-the protocol, never a concrete class.  CI greps enforce that no consumer
-reintroduces an ``isinstance(..., Filesystem)`` check.
+the base class, never a concrete one.  CI greps enforce that no consumer
+reintroduces an ``isinstance(..., Filesystem)`` check and that the
+namespace stays in the base class.
 
 Canonical read spelling: **``read_whole(path)``** is *the* whole-file read
-(the pre-protocol ``read_file`` alias has been removed).
+(the older ``read_file`` alias has been removed).
 
 :class:`BackendConfig` + :func:`build_backend` let configuration select the
 backend (``kind="posix"`` or ``"object"``) so callers — including
@@ -35,10 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, List, Optional, Protocol, Union, runtime_checkable
+from typing import TYPE_CHECKING, Optional, Protocol, Union, runtime_checkable
 
 from .device import PROFILES, BlockDevice, DeviceProfile
-from .filesystem import FaultHook, Filesystem, SimFile
+from .filesystem import Filesystem, StorageBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.event import Event
@@ -84,53 +85,6 @@ class SampleSource(Protocol):
     def read_whole(self, path: str) -> "Event":
         """Whole-file read; event value = bytes read."""
         ...  # pragma: no cover - protocol
-
-
-@runtime_checkable
-class StorageBackend(Protocol):
-    """What every storage backend must provide.
-
-    The contract has four parts:
-
-    * **namespace** — ``create``/``create_many``/``exists``/``stat``/
-      ``unlink``/``list_prefix``/``total_bytes`` over a flat path space of
-      :class:`~repro.storage.filesystem.SimFile` metadata;
-    * **data path** — ``read`` (ranged), ``read_whole`` (the canonical
-      whole-file read), and ``write``, each returning a kernel
-      :class:`~repro.simcore.event.Event` valued with the byte count;
-    * **fault seam** — a ``fault_hook`` attribute consulted per data read,
-      the :class:`~repro.faults.FaultInjector` attachment point;
-    * **telemetry seam** — operations emit spans and the
-      ``storage.write_bytes_total`` counter through ``sim.telemetry`` when
-      a hub is attached, and expose cumulative ``bytes_read()`` /
-      ``bytes_written()`` for experiment accounting.
-    """
-
-    sim: "Simulator"
-    name: str
-    fault_hook: Optional[FaultHook]
-
-    # -- namespace ----------------------------------------------------------
-    def create(self, path: str, size: int) -> SimFile: ...  # pragma: no cover
-    def create_many(self, entries: Iterable[tuple]) -> None: ...  # pragma: no cover
-    def exists(self, path: str) -> bool: ...  # pragma: no cover
-    def stat(self, path: str) -> SimFile: ...  # pragma: no cover
-    def unlink(self, path: str) -> None: ...  # pragma: no cover
-    def list_prefix(self, prefix: str) -> List[str]: ...  # pragma: no cover
-    def total_bytes(self) -> int: ...  # pragma: no cover
-
-    # -- data path ----------------------------------------------------------
-    def read(self, path: str, offset: int = 0, length: Optional[int] = None) -> "Event":
-        ...  # pragma: no cover
-
-    def read_whole(self, path: str) -> "Event": ...  # pragma: no cover
-
-    def write(self, path: str, nbytes: int, offset: int = 0) -> "Event":
-        ...  # pragma: no cover
-
-    # -- observability ------------------------------------------------------
-    def bytes_read(self) -> float: ...  # pragma: no cover
-    def bytes_written(self) -> float: ...  # pragma: no cover
 
 
 BACKEND_KINDS = ("posix", "object")

@@ -13,23 +13,23 @@ Topology modelled:
 * one shared client network link (a fluid channel) plus a fixed RPC
   round-trip latency per request.
 
-The same duck-typed read API as :class:`~repro.storage.filesystem.Filesystem`
-is exposed, so every higher layer (POSIX, PRISMA, framework simulators) runs
-unmodified over local or distributed storage — which is precisely the
-portability property the paper's data plane claims.
+A :class:`~repro.storage.filesystem.StorageBackend` like the local
+:class:`~repro.storage.filesystem.Filesystem`, so every higher layer (POSIX,
+PRISMA, framework simulators) runs unmodified over local or distributed
+storage — which is precisely the portability property the paper's data plane
+claims.  Beyond the shared namespace it keeps only what is its own: file
+placement on the OSTs, the RPC data path and the per-epoch read ledger.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..simcore.errors import process_error
 from ..simcore.event import Event
-from ..telemetry import CounterSet
-from .cache import PageCache
 from .device import BlockDevice, DeviceProfile, GiB, intel_p4600
-from .filesystem import FaultHook, FileExists, FileNotFound, InvalidRead, SimFile
+from .filesystem import InvalidRead, SimFile, StorageBackend
 from .fluid import FairShareChannel, saturating_capacity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -48,8 +48,12 @@ class StorageTarget:
         return f"<StorageTarget {self.index} files={self.file_count}>"
 
 
-class DistributedFilesystem:
-    """A shared PFS: hash-placed files over OSTs behind one network link."""
+class DistributedFilesystem(StorageBackend):
+    """A shared PFS: hash-placed files over OSTs behind one network link.
+
+    Distributed deployments are exactly the regime where the training set
+    exceeds client memory, so there is no client page cache.
+    """
 
     def __init__(
         self,
@@ -65,9 +69,7 @@ class DistributedFilesystem:
             raise ValueError("n_targets must be >= 1")
         if rpc_latency < 0:
             raise ValueError("rpc_latency must be non-negative")
-        self.sim = sim
-        self.name = name
-        self._track = f"storage.{name}"
+        super().__init__(sim, name)
         self._read_name = f"pfsread:{name}"
         self._write_name = f"pfswrite:{name}"
         self.rpc_latency = rpc_latency
@@ -80,77 +82,37 @@ class DistributedFilesystem:
             saturating_capacity(network_bandwidth, network_kappa),
             name=f"{name}.net",
         )
-        # Distributed deployments are exactly the regime where the training
-        # set exceeds client memory; no client cache by default.
-        self.cache = PageCache(sim, 0.0, name=f"{name}.cache")
-        self._files: Dict[str, SimFile] = {}
         self._placement: Dict[str, int] = {}
-        self.counters = CounterSet(sim.metrics, "storage", name)
-        #: fault-injection seam, same contract as :class:`Filesystem`'s
-        self.fault_hook: Optional[FaultHook] = None
         #: per-epoch read ledger: path -> completed reads since the last
         #: :meth:`begin_epoch`.  The cooperative-cache acceptance check
         #: ("each sample hits the backing store at most once per epoch
         #: cluster-wide") reads straight off this dict.
         self._epoch_reads: Dict[str, int] = {}
 
-    # -- namespace (Filesystem-compatible) ----------------------------------------
+    # -- namespace: placement on the OSTs ----------------------------------------
     def _place(self, path: str) -> int:
         digest = hashlib.blake2s(path.encode(), digest_size=4).digest()
         return int.from_bytes(digest, "little") % len(self.targets)
 
     def create(self, path: str, size: int) -> SimFile:
-        if path in self._files:
-            raise FileExists(path)
-        f = SimFile(path, int(size))
-        self._files[path] = f
+        f = super().create(path, size)
         ost = self._place(path)
         self._placement[path] = ost
         self.targets[ost].file_count += 1
         return f
-
-    def create_many(self, entries: Iterable[tuple[str, int]]) -> None:
-        for path, size in entries:
-            self.create(path, size)
-
-    def exists(self, path: str) -> bool:
-        return path in self._files
-
-    def stat(self, path: str) -> SimFile:
-        try:
-            return self._files[path]
-        except KeyError:
-            raise FileNotFound(path) from None
 
     def target_of(self, path: str) -> StorageTarget:
         self.stat(path)
         return self.targets[self._placement[path]]
 
     def unlink(self, path: str) -> None:
-        if path not in self._files:
-            raise FileNotFound(path)
-        del self._files[path]
+        super().unlink(path)
         self.targets[self._placement.pop(path)].file_count -= 1
-        self.cache.invalidate(path)
-
-    def list_prefix(self, prefix: str) -> List[str]:
-        return sorted(p for p in self._files if p.startswith(prefix))
-
-    @property
-    def file_count(self) -> int:
-        return len(self._files)
-
-    def total_bytes(self) -> int:
-        return sum(f.size for f in self._files.values())
 
     # -- data path --------------------------------------------------------------
     def read(self, path: str, offset: int = 0, length: Optional[int] = None) -> Event:
         """RPC to the owning OST: latency + device read + network transfer."""
-        meta = self.stat(path)
-        if offset < 0:
-            raise InvalidRead(f"negative offset {offset} for {path!r}")
-        end = meta.size if length is None else min(offset + max(length, 0), meta.size)
-        nbytes = max(end - offset, 0)
+        _, nbytes = self._extent(path, offset, length)
         target = self.targets[self._placement[path]]
         sim = self.sim
         tel = sim.telemetry
@@ -201,15 +163,6 @@ class DistributedFilesystem:
         sim.call_later(self.rpc_latency, at_target)
         return done
 
-    def read_whole(self, path: str) -> Event:
-        """Whole-file read — the canonical spelling of the backend protocol.
-
-        A :class:`DistributedFilesystem` can sit directly under a
-        :class:`~repro.core.tiering.TieringObject` or prefetcher without a
-        POSIX adapter — the peer-serving cluster mounts it this way.
-        """
-        return self.read(path, 0, None)
-
     def write(self, path: str, nbytes: int, offset: int = 0) -> Event:
         """Write (extend) a file on its owning OST; event value = bytes.
 
@@ -247,7 +200,6 @@ class DistributedFilesystem:
                 fail(ev.exception)
                 return
             meta.size = max(meta.size, offset + nbytes)
-            self.cache.invalidate(path)
             landed()
 
         def fail(exc: BaseException) -> None:

@@ -1,15 +1,19 @@
-"""Simulated filesystem: a namespace of files over a block device + cache.
+"""The storage-backend base class, and the local filesystem on it.
 
-Only what the DL data path needs is modelled — metadata is in-memory and
-free, reads are byte-accurate against stored sizes, and the page cache sits
-in front of the device.  Writes exist so datasets can be "materialized"
-through the same machinery the benchmarks use.
+:class:`StorageBackend` is the namespace every backend shares — a flat
+table of :class:`SimFile` metadata, in-memory and free — plus the read
+extent and ``read_whole``; each backend adds its data path.
+:class:`Filesystem` is the local one: reads are byte-accurate against
+stored sizes, and the page cache sits in front of the device.  Writes exist
+so datasets can be "materialized" through the same machinery the
+benchmarks use.
 """
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..simcore.errors import SimulationError, process_error
 from ..simcore.event import Event
@@ -103,28 +107,28 @@ class SimFile:
             raise ValueError(f"negative file size for {self.path!r}")
 
 
-class Filesystem:
-    """A flat namespace of :class:`SimFile` objects on one device.
+class StorageBackend(abc.ABC):
+    """What every storage backend is: a flat namespace plus a data path.
 
-    The namespace is flat (paths are opaque strings) because the DL workload
-    never does directory traversal on the hot path; ``list_prefix`` provides
-    the single listing operation dataset catalogs need.
+    The base owns the namespace — a flat table of :class:`SimFile`
+    metadata (paths are opaque strings: the DL workload never traverses
+    directories on the hot path, and ``list_prefix`` is the one listing a
+    dataset catalog needs) — together with ``read_whole``, the read extent
+    every ranged ``read`` computes, the ``storage`` counters, the span
+    track and the ``fault_hook`` seam.  Namespace operations do no I/O and
+    take no simulated time.
+
+    A backend supplies its data path: ``read`` (ranged), ``write``,
+    ``bytes_read`` and ``bytes_written``, each data operation returning a
+    kernel :class:`~repro.simcore.event.Event` valued with the byte count.
+    It extends the namespace only with what is its own (a page cache to
+    invalidate, placement on storage targets).
     """
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        device: BlockDevice,
-        cache: Optional[PageCache] = None,
-        name: str = "fs",
-    ) -> None:
+    def __init__(self, sim: "Simulator", name: str) -> None:
         self.sim = sim
-        self.device = device
-        self.cache = cache if cache is not None else PageCache(sim, 0.0)
         self.name = name
         self._track = f"storage.{name}"
-        self._read_name = f"fsread:{name}"
-        self._write_name = f"fswrite:{name}"
         self._files: Dict[str, SimFile] = {}
         self.counters = CounterSet(sim.metrics, "storage", name)
         #: fault-injection seam: consulted per data read when installed
@@ -156,7 +160,6 @@ class Filesystem:
         if path not in self._files:
             raise FileNotFound(path)
         del self._files[path]
-        self.cache.invalidate(path)
 
     def list_prefix(self, prefix: str) -> List[str]:
         return sorted(p for p in self._files if p.startswith(prefix))
@@ -168,15 +171,15 @@ class Filesystem:
     def total_bytes(self) -> int:
         return sum(f.size for f in self._files.values())
 
-    # -- data path --------------------------------------------------------------
-    def read(self, path: str, offset: int = 0, length: Optional[int] = None) -> Event:
-        """Read bytes from ``path``; event value = bytes actually read.
+    # -- data path ---------------------------------------------------------------
+    def _extent(self, path: str, offset: int, length: Optional[int]) -> Tuple[SimFile, int]:
+        """The file a read of ``length`` bytes from ``offset`` covers, and
+        how many bytes it reads.
 
         ``length=None`` reads to EOF.  Reads are clamped at EOF (POSIX
-        semantics); reading at or past EOF returns 0 bytes after a metadata
-        round-trip.  A failed read fails the event with a
-        :class:`~repro.simcore.errors.ProcessError` whose ``__cause__`` is
-        the storage error.
+        semantics), so a read at or past EOF covers 0 bytes.  A missing
+        path raises :class:`FileNotFound`, a negative offset
+        :class:`InvalidRead`.
         """
         try:  # stat, inline: one frame fewer per read
             meta = self._files[path]
@@ -185,7 +188,65 @@ class Filesystem:
         if offset < 0:
             raise InvalidRead(f"negative offset {offset} for {path!r}")
         end = meta.size if length is None else min(offset + max(length, 0), meta.size)
-        nbytes = max(end - offset, 0)
+        return meta, max(end - offset, 0)
+
+    @abc.abstractmethod
+    def read(self, path: str, offset: int = 0, length: Optional[int] = None) -> Event:
+        """Read bytes from ``path``; event value = bytes actually read.
+
+        A failed read fails the event with a
+        :class:`~repro.simcore.errors.ProcessError` whose ``__cause__`` is
+        the storage error.
+        """
+
+    def read_whole(self, path: str) -> Event:
+        """Whole-file read (the DL sample-loading operation); the
+        canonical whole-file spelling every consumer uses."""
+        return self.read(path, 0, None)
+
+    @abc.abstractmethod
+    def write(self, path: str, nbytes: int, offset: int = 0) -> Event:
+        """Write ``nbytes`` at ``offset``; event value = bytes written."""
+
+    # -- observability -----------------------------------------------------------
+    @abc.abstractmethod
+    def bytes_read(self) -> float:
+        """Cumulative bytes the backend served for reads."""
+
+    @abc.abstractmethod
+    def bytes_written(self) -> float:
+        """Cumulative bytes the backend stored for writes."""
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self.name!r} files={len(self._files)}>"
+
+
+class Filesystem(StorageBackend):
+    """A flat namespace of :class:`SimFile` objects on one device, behind
+    a page cache."""
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        device: BlockDevice,
+        cache: Optional[PageCache] = None,
+        name: str = "fs",
+    ) -> None:
+        super().__init__(sim, name)
+        self.device = device
+        self.cache = cache if cache is not None else PageCache(sim, 0.0)
+        self._read_name = f"fsread:{name}"
+        self._write_name = f"fswrite:{name}"
+
+    def unlink(self, path: str) -> None:
+        super().unlink(path)
+        self.cache.invalidate(path)
+
+    # -- data path --------------------------------------------------------------
+    def read(self, path: str, offset: int = 0, length: Optional[int] = None) -> Event:
+        """Page cache, else the device; a read at or past EOF returns 0
+        bytes after a metadata round-trip."""
+        meta, nbytes = self._extent(path, offset, length)
         sim = self.sim
         tel = sim.telemetry
         span = None
@@ -249,14 +310,6 @@ class Filesystem:
             done.callbacks.insert(0, landed)
         return self.device.read(nbytes, event=done, value=nbytes)
 
-    def read_whole(self, path: str) -> Event:
-        """Whole-file read (the DL sample-loading operation).
-
-        The canonical whole-file spelling of the
-        :class:`~repro.storage.backend.StorageBackend` protocol.
-        """
-        return self.read(path, 0, None)
-
     def write(self, path: str, nbytes: int, offset: int = 0) -> Event:
         """Write (extend) a file; event value = bytes written."""
         meta = self.stat(path)
@@ -296,6 +349,3 @@ class Filesystem:
 
     def bytes_written(self) -> float:
         return self.device.bytes_written()
-
-    def __repr__(self) -> str:
-        return f"<Filesystem {self.name!r} files={len(self._files)}>"

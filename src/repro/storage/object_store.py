@@ -1,7 +1,8 @@
 """S3-like object store: high latency, high parallelism, whole-object PUT.
 
-The third :class:`~repro.storage.backend.StorageBackend` implementation,
-modelling cloud object storage as DL training sees it:
+The third :class:`~repro.storage.filesystem.StorageBackend`, modelling cloud
+object storage as DL training sees it.  Its objects are the shared
+namespace's files; what is its own is the data path:
 
 * every request pays a large fixed first-byte latency (an HTTPS round trip
   to a regional endpoint — milliseconds, vs microseconds for NVMe);
@@ -23,13 +24,12 @@ experiments measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..simcore.errors import process_error
 from ..simcore.event import Event
-from ..telemetry import CounterSet
 from .device import GiB
-from .filesystem import FaultHook, FileExists, FileNotFound, InvalidRead, SimFile
+from .filesystem import InvalidRead, StorageBackend
 from .fluid import FairShareChannel, saturating_capacity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -100,14 +100,13 @@ OBJECT_PROFILES = {
 }
 
 
-class ObjectStore:
+class ObjectStore(StorageBackend):
     """A flat namespace of objects behind one high-latency client link.
 
-    Implements the full :class:`~repro.storage.backend.StorageBackend`
-    protocol.  Differences from :class:`~repro.storage.filesystem.Filesystem`
-    callers may observe: there is no page cache (repeat GETs cost full
-    price), and :meth:`write` is a whole-object PUT — ``offset`` must be 0
-    and the upload *replaces* the object's size rather than extending it.
+    Differences from :class:`~repro.storage.filesystem.Filesystem` callers
+    may observe: there is no page cache (repeat GETs cost full price), and
+    :meth:`write` is a whole-object PUT — ``offset`` must be 0 and the
+    upload *replaces* the object's size rather than extending it.
     """
 
     def __init__(
@@ -116,10 +115,8 @@ class ObjectStore:
         profile: Optional[ObjectStoreProfile] = None,
         name: str = "objstore",
     ) -> None:
-        self.sim = sim
+        super().__init__(sim, name)
         self.profile = profile or s3_like()
-        self.name = name
-        self._track = f"storage.{name}"
         self._get_name = f"get:{name}"
         self._put_name = f"put:{name}"
         self.link = FairShareChannel(
@@ -128,47 +125,6 @@ class ObjectStore:
             name=f"{name}.link",
             max_concurrency=self.profile.max_concurrency,
         )
-        self._objects: Dict[str, SimFile] = {}
-        #: fault-injection seam, same contract as :class:`Filesystem`'s
-        self.fault_hook: Optional[FaultHook] = None
-        self.counters = CounterSet(sim.metrics, "storage", name)
-
-    # -- namespace ---------------------------------------------------------------
-    def create(self, path: str, size: int) -> SimFile:
-        """Register an object (metadata only — no I/O is simulated)."""
-        if path in self._objects:
-            raise FileExists(path)
-        obj = SimFile(path, int(size))
-        self._objects[path] = obj
-        return obj
-
-    def create_many(self, entries: Iterable[tuple]) -> None:
-        for path, size in entries:
-            self.create(path, size)
-
-    def exists(self, path: str) -> bool:
-        return path in self._objects
-
-    def stat(self, path: str) -> SimFile:
-        try:
-            return self._objects[path]
-        except KeyError:
-            raise FileNotFound(path) from None
-
-    def unlink(self, path: str) -> None:
-        if path not in self._objects:
-            raise FileNotFound(path)
-        del self._objects[path]
-
-    def list_prefix(self, prefix: str) -> List[str]:
-        return sorted(p for p in self._objects if p.startswith(prefix))
-
-    @property
-    def file_count(self) -> int:
-        return len(self._objects)
-
-    def total_bytes(self) -> int:
-        return sum(obj.size for obj in self._objects.values())
 
     # -- data path --------------------------------------------------------------
     def read(self, path: str, offset: int = 0, length: Optional[int] = None) -> Event:
@@ -177,11 +133,7 @@ class ObjectStore:
         Range semantics match POSIX reads: clamped at the object's end,
         reads at or past the end return 0 bytes after the request latency.
         """
-        meta = self.stat(path)
-        if offset < 0:
-            raise InvalidRead(f"negative offset {offset} for {path!r}")
-        end = meta.size if length is None else min(offset + max(length, 0), meta.size)
-        nbytes = max(end - offset, 0)
+        _, nbytes = self._extent(path, offset, length)
         sim = self.sim
         tel = sim.telemetry
         span = None
@@ -223,10 +175,6 @@ class ObjectStore:
 
         sim.call_later(self.profile.get_latency, first_byte)
         return done
-
-    def read_whole(self, path: str) -> Event:
-        """Whole-object GET (the canonical sample-loading operation)."""
-        return self.read(path, 0, None)
 
     def write(self, path: str, nbytes: int, offset: int = 0) -> Event:
         """A whole-object PUT; event value = bytes written.
@@ -281,6 +229,3 @@ class ObjectStore:
 
     def bytes_written(self) -> float:
         return self.counters.get("write_bytes")
-
-    def __repr__(self) -> str:
-        return f"<ObjectStore {self.name!r} objects={len(self._objects)}>"

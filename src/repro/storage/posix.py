@@ -120,7 +120,7 @@ class PosixLike(abc.ABC):
 class PosixLayer(PosixLike):
     """Direct (un-intercepted) POSIX access to any storage backend.
 
-    Only the protocol's ``stat`` and ``read`` operations are used, so the
+    Only the backend's ``stat`` and ``read`` operations are used, so the
     same facade serves a local :class:`~repro.storage.filesystem.Filesystem`,
     a :class:`~repro.storage.distributed.DistributedFilesystem`, or an
     :class:`~repro.storage.object_store.ObjectStore` (ranged GETs back

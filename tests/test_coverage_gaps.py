@@ -137,17 +137,6 @@ def test_trial_result_fields_populated():
     assert trial.reader_activity
 
 
-# ---------------------------------------------------------------- catalog paths
-def test_catalog_path_roundtrip_for_integrations():
-    """torch_binding._index_of depends on the path layout."""
-    from repro.core.integrations.torch_binding import _index_of
-    from repro.dataset import DatasetCatalog
-
-    cat = DatasetCatalog("/data/x", [1] * 20)
-    for i in (0, 7, 19):
-        assert _index_of(cat, cat.path(i)) == i
-
-
 # ---------------------------------------------------------------- determinism end-to-end
 def test_whole_stack_bit_deterministic():
     """Same seed -> identical training time across repeated builds."""

@@ -11,8 +11,10 @@ import pytest
 
 from repro.cluster import ClusterConfig, ClusterStore
 from repro.core import ParallelPrefetcher, PrismaStage
-from repro.core.integrations import PrismaTorchClient, PrismaUDSServer
-from repro.simcore import Simulator
+from repro.core.integrations import PrismaTorchClient, PrismaTorchDataLoader, PrismaUDSServer
+from repro.dataset import EpochShuffler, tiny_dataset
+from repro.frameworks.models import LENET
+from repro.simcore import RandomStreams, Simulator
 from repro.storage import (
     BadFileDescriptor,
     BlockDevice,
@@ -137,3 +139,24 @@ def test_torch_client_read_past_offset_zero_raises():
     with pytest.raises(InvalidRead):
         client.read(fd, 60)
 
+
+def test_torch_loader_client_sizes_come_from_the_backend():
+    """A loader's client sizes any stored path by the backend's metadata,
+    not by an index parsed from the path, so a validation file has its own
+    size and a missing path raises ``FileNotFound``."""
+    sim, streams = Simulator(), RandomStreams(0)
+    split = tiny_dataset(streams, n_train=8, n_val=2)
+    fs = Filesystem(sim, BlockDevice(sim, ramdisk()))
+    split.materialize(fs)
+    posix = PosixLayer(sim, fs)
+    stage = PrismaStage(sim, posix, [ParallelPrefetcher(sim, posix, producers=1)])
+    loader = PrismaTorchDataLoader(
+        sim, split.train, EpochShuffler(8, streams.spawn("t")), 4, stage,
+        PrismaUDSServer(sim, stage), LENET,
+    )
+    client = loader.posix_factory(0)
+    val_path = split.validation.paths[1]
+    assert client.fstat_size(client.open(val_path)) == fs.stat(val_path).size
+    for missing in ("/data/tiny/train/999", "/nope/missing"):
+        with pytest.raises(FileNotFound):
+            client.open(missing)

@@ -1,4 +1,4 @@
-"""Conformance suite for the ``StorageBackend`` protocol.
+"""Conformance suite for the ``StorageBackend`` base class.
 
 One parametric battery over all three implementations — local filesystem,
 distributed PFS, object store — plus the config-driven construction path
@@ -13,6 +13,7 @@ from repro.storage import (
     BackendConfig,
     BlockDevice,
     DistributedFilesystem,
+    FileExists,
     FileNotFound,
     Filesystem,
     InvalidRead,
@@ -87,6 +88,9 @@ def test_namespace_round_trip(kind):
     backend = make_backend(kind, sim)
     backend.create("/data/a", 100)
     backend.create_many((f"/data/b{i}", 50) for i in range(3))
+    assert backend.file_count == 4
+    with pytest.raises(FileExists):
+        backend.create("/data/a", 1)
     assert backend.exists("/data/a")
     assert not backend.exists("/nope")
     assert backend.stat("/data/a").size == 100
@@ -94,8 +98,15 @@ def test_namespace_round_trip(kind):
     assert sorted(backend.list_prefix("/data/b")) == ["/data/b0", "/data/b1", "/data/b2"]
     backend.unlink("/data/a")
     assert not backend.exists("/data/a")
-    with pytest.raises(FileNotFound):
-        backend.stat("/data/a")
+    assert backend.file_count == 3
+    for op in (backend.stat, backend.unlink, backend.read, lambda p: backend.write(p, 1)):
+        with pytest.raises(FileNotFound):
+            op("/data/a")
+    for path in backend.list_prefix("/data/"):
+        backend.unlink(path)
+    assert backend.file_count == 0
+    if kind == "pfs":
+        assert [t.file_count for t in backend.targets] == [0] * len(backend.targets)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -107,6 +118,11 @@ def test_read_whole_and_ranged_read(kind):
     assert out["value"] == 64 * KiB
     out = _drive(sim, lambda: (yield backend.read("/f", offset=16 * KiB, length=4 * KiB)))
     assert out["value"] == 4 * KiB
+    for offset in (64 * KiB, 80 * KiB):  # at and past EOF
+        out = _drive(sim, lambda: (yield backend.read("/f", offset=offset, length=4 * KiB)))
+        assert out["value"] == 0
+    with pytest.raises(InvalidRead):
+        backend.read("/f", offset=-1)
     assert backend.bytes_read() == 68 * KiB
 
 
