@@ -79,22 +79,36 @@ class ClusterConfig:
 
 
 class _BackingReader:
-    """Adapter giving the tier layer its ``read_whole`` backend protocol.
+    """The one road to the backing store: every read is ledgered.
 
-    Every byte that leaves the backing store for a tier fill flows through
-    :meth:`ClusterStore.backing_read`, so the store's ledger cannot be
-    bypassed by a policy that reads the backend directly.
+    It is the tiers' ``read_whole`` backend and the nodes' fallback, so
+    every byte that leaves the backing store for the cluster flows through
+    it, and the store's ledger cannot be bypassed by a policy that reads
+    the backend directly.  It holds the ledger, not the store, so the
+    nodes and tiers that hold it form no cycle with the store.
     """
 
-    def __init__(self, store: "ClusterStore") -> None:
-        self._store = store
+    def __init__(
+        self, backing: "StorageBackend", counters: CounterSet, ledger: Dict[str, int]
+    ) -> None:
+        self.backing = backing
+        self.counters = counters
+        self.ledger = ledger
 
     def read_whole(self, path: str) -> Event:
-        return self._store.backing_read(path)
+        self.counters.add("backing_reads")
+        ledger = self.ledger
+        ledger[path] = ledger.get(path, 0) + 1
+        return self.backing.read_whole(path)
 
 
 class ClusterStore:
-    """N sharded peer nodes over one shared backing filesystem."""
+    """N sharded peer nodes over one shared backing filesystem.
+
+    The store owns its nodes, and the nodes reach their peers through a
+    weak reference to it: keep the store (not only a node or a mount of
+    one) while the cluster serves reads from peers.
+    """
 
     def __init__(
         self,
@@ -110,10 +124,10 @@ class ClusterStore:
         self.name = name
         self.shard_map = ShardMap(paths, config.n_nodes, salt=config.salt)
         self.counters = CounterSet(sim.metrics, "cluster", name)
-        self.backing_reader = _BackingReader(self)
         #: per-epoch ledger of backing-store reads issued through the
         #: cluster (path -> count); the invariant check reads off this.
         self._epoch_backing: Dict[str, int] = {}
+        self.backing_reader = _BackingReader(backing, self.counters, self._epoch_backing)
         profile_fn = PROFILES[config.fast_profile]
         self.nodes: List[ClusterNode] = []
         for i in range(config.n_nodes):
@@ -151,13 +165,6 @@ class ClusterStore:
     def channels(self) -> List[ControlChannel]:
         """Every node's service channel (the fault injector's attach points)."""
         return [node.channel for node in self.nodes]
-
-    # -- backing-store funnel --------------------------------------------------------
-    def backing_read(self, path: str) -> Event:
-        """The one road to the backing store; every read is ledgered."""
-        self.counters.add("backing_reads")
-        self._epoch_backing[path] = self._epoch_backing.get(path, 0) + 1
-        return self.backing.read_whole(path)
 
     # -- epoch accounting -------------------------------------------------------------
     def begin_epoch(self) -> None:

@@ -73,7 +73,9 @@ REMOTE_LATENCY = 150e-6
 class _Exchange:
     """One request/reply exchange in flight, as a chain of leg callbacks.
 
-    The exchange lets go of the caller's event once it settles, and
+    ``done`` is what the exchange settles: the caller's event, or any
+    object with an event's ``succeed(value)`` and ``fail(exc)`` that the
+    caller handed down.  The exchange lets go of it once it settles, and
     cancels its deadline timer, which would fire into a settled exchange
     and do nothing.
     """
@@ -86,14 +88,14 @@ class _Exchange:
         fn: Callable[..., Any],
         args: tuple,
         awaited: bool,
-        done: Event,
+        done: Any,
         retry: Optional[Callable[[RpcError], None]],
     ) -> None:
         self.channel = channel
         self.fn = fn
         self.args = args
         self.awaited = awaited
-        self.done: Optional[Event] = done
+        self.done = done
         self.retry = retry
         self.deadline: Optional[_Call] = None
 
@@ -200,22 +202,49 @@ class ControlChannel:
         timeout: Optional[float],
         awaited: bool,
         label: str,
-        retry: Optional[Callable[[RpcError], None]] = None,
-    ) -> Event:
-        """Start one request/reply exchange; returns the caller event.
+        policy: Optional[RetryPolicy] = None,
+        done: Any = None,
+    ) -> Any:
+        """Start one request/reply exchange; returns what it settles.
 
         ``awaited`` selects data-plane semantics: a far-side return value
         that is itself an :class:`Event` is waited on before the reply leg,
         and its failure is a far-side (application) failure.  The far side
         never runs on the caller's stack: even at zero latency the request
-        leg is a kernel event.  ``retry``, when given, takes over a
-        retryable failure instead of failing the event, and then owns
-        settling it.
+        leg is a kernel event.  ``done``, when given, is settled in place
+        of a fresh event (see :class:`_Exchange`).
+
+        ``policy``, when given, is the backoff and budget of
+        call_with_retry / request_with_retry: the first attempt is this
+        exchange, and only a retryable failure of it spawns the retry
+        loop, which then settles that same ``done``.
         """
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
         sim = self.sim
-        done = Event(sim, name=self._labels[label])
+        if done is None:
+            done = Event(sim, name=self._labels[label])
+        retry = None
+        if policy is not None:
+            start = sim.now
+
+            def retry(exc: RpcError) -> None:
+                invoke = self.request if awaited else self.call
+                loop = sim.process(
+                    self._retry_loop(invoke, fn, args, policy, timeout, start, exc),
+                    name=self._labels["rpc_retry"],
+                )
+
+                def settle(p: Event) -> None:
+                    if p.ok:
+                        done.succeed(p.value)
+                        return
+                    err = p.exception
+                    cause = err.__cause__ if isinstance(err, ProcessError) else err
+                    done.fail(cause if isinstance(cause, RpcError) else err)
+
+                loop.add_callback(settle)
+
         exchange = _Exchange(self, fn, args, awaited, done, retry)
         sim.call_later(self.latency + self._extra_delay, exchange.deliver)
         if timeout is not None:
@@ -261,45 +290,6 @@ class ControlChannel:
         """
         self.counters.requests.value += 1
         return self._dispatch(fn, args, timeout, awaited=True, label="request")
-
-    def _retrying(
-        self,
-        fn: Callable[..., Any],
-        args: tuple,
-        pol: RetryPolicy,
-        timeout: Optional[float],
-        awaited: bool,
-        label: str,
-    ) -> Event:
-        """Backoff/budget shared by call_with_retry / request_with_retry.
-
-        The first attempt is a plain exchange whose event is returned as
-        is; only a retryable failure of it spawns the retry loop, which
-        then settles that same event.
-        """
-        start = self.sim.now
-        invoke = self.request if awaited else self.call
-
-        def retry(exc: RpcError) -> None:
-            loop = self.sim.process(
-                self._retry_loop(invoke, fn, args, pol, timeout, start, exc),
-                name=self._labels["rpc_retry"],
-            )
-
-            def settle(p: Event) -> None:
-                if p.ok:
-                    done.succeed(p.value)
-                    return
-                err = p.exception
-                cause = err.__cause__ if isinstance(err, ProcessError) else err
-                done.fail(cause if isinstance(cause, RpcError) else err)
-
-            loop.add_callback(settle)
-
-        counters = self.counters
-        (counters.requests if awaited else counters.calls).value += 1
-        done = self._dispatch(fn, args, timeout, awaited, label, retry)
-        return done  # settled by the first attempt, or by the retry loop
 
     def _retry_loop(
         self,
@@ -347,9 +337,8 @@ class ControlChannel:
         attempt count or the time budget runs out the event fails with
         :class:`RpcRetriesExhausted` chaining the last transport error.
         """
-        return self._retrying(
-            fn, args, policy or RetryPolicy(), timeout, False, "call_retry"
-        )
+        self.counters.calls.value += 1
+        return self._dispatch(fn, args, timeout, False, "call_retry", policy or RetryPolicy())
 
     def request_with_retry(
         self,
@@ -357,7 +346,8 @@ class ControlChannel:
         *args: Any,
         policy: Optional[RetryPolicy] = None,
         timeout: Optional[float] = None,
-    ) -> Event:
+        done: Any = None,
+    ) -> Any:
         """:meth:`request` under the same backoff/budget as control calls.
 
         The retry set is identical — transport losses and timeouts only.
@@ -365,7 +355,14 @@ class ControlChannel:
         timed-out request may have *completed* on the peer (the sample is
         now in its tier); retries are therefore idempotent reads, and peer
         caches must coalesce duplicate in-flight fetches.
+
+        ``done``, when given, is settled in place of a fresh event and
+        returned: ``done.succeed(value)`` on a reply, and ``done.fail(exc)``
+        with a fatal failure at once or with :class:`RpcRetriesExhausted`
+        after the retry loop.  A caller that falls back on failure hands
+        down an object whose ``fail`` starts the fallback.
         """
-        return self._retrying(
-            fn, args, policy or RetryPolicy(), timeout, True, "request_retry"
+        self.counters.requests.value += 1
+        return self._dispatch(
+            fn, args, timeout, True, "request_retry", policy or RetryPolicy(), done
         )

@@ -33,6 +33,10 @@ Two seams added for the cluster-wide cooperative cache (:mod:`repro.cluster`):
 * ``promotion_source`` — an alternative byte source for tier fills.  In a
   peer-to-peer deployment the copy comes from the *owning peer's* tier over
   RPC, not from the backing store, so a promotion never re-reads the PFS.
+  ``promotion_source(path)`` returns an event for the byte count;
+  ``promotion_source(path, done)`` settles the caller's ``done`` instead,
+  failing it as the caller's own chain would (``process_error(done.name,
+  exc)``).
 * :meth:`fetch_through` — read-through semantics: a miss fetches from the
   source **exactly once** (concurrent fetches for the same path coalesce
   onto one in-flight read) and admits the bytes inline, which is what makes
@@ -122,7 +126,7 @@ class TieringObject(OptimizationObject):
         fast_capacity_bytes: int,
         promote_after: int = 2,
         name: str = "prisma.tiering",
-        promotion_source: Optional[Callable[[str], Event]] = None,
+        promotion_source: Optional[Callable[..., Event]] = None,
     ) -> None:
         super().__init__(sim, backend, name)
         if promote_after < 1:
@@ -182,6 +186,9 @@ class TieringObject(OptimizationObject):
 
         ``admit=False`` reads through without caching — a requester that
         does not own the sample and should not displace its own shard.
+        Such a fetch hands its event down to the promotion source, which
+        settles it; there is nothing to do between the source's bytes and
+        the caller.
         """
         if path in self._resident:
             self._resident.move_to_end(path)
@@ -194,7 +201,10 @@ class TieringObject(OptimizationObject):
         self.counters.slow_reads.value += 1
         done = Event(self.sim, name=self._fetch_name)
         self._fetching[path] = done
-        done.add_callback(lambda _ev: self._fetching.pop(path, None))
+        done.callbacks.append(lambda _ev: self._fetching.pop(path, None))
+        if not admit and self.promotion_source is not None:
+            self.promotion_source(path, done)
+            return done
 
         def fail(exc: BaseException) -> None:
             done.fail(process_error(self._fetch_name, exc))
@@ -387,7 +397,7 @@ class ClairvoyantTieringObject(TieringObject):
         fast_fs: Filesystem,
         fast_capacity_bytes: int,
         name: str = "prisma.tiering",
-        promotion_source: Optional[Callable[[str], Event]] = None,
+        promotion_source: Optional[Callable[..., Event]] = None,
     ) -> None:
         super().__init__(
             sim, backend, fast_fs, fast_capacity_bytes, promote_after=1,

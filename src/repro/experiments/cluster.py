@@ -236,8 +236,11 @@ def run_cluster_serving(
         totals=totals,
         per_epoch=per_epoch,
     )
+    # The report is built: unhook the injector and free the run's stack.
+    backing.fault_hook = None
     if telemetry is not None:
         telemetry.detach()
+    sim.close()
     return report
 
 

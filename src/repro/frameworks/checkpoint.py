@@ -96,11 +96,6 @@ class CheckpointWriter:
         self._async_pending: List[Event] = []
         self._global_step = 0
 
-    @property
-    def fs(self) -> "StorageBackend":
-        """Backward-compatible alias (the pre-protocol attribute name)."""
-        return self.backend
-
     def on_step(self) -> Optional[Event]:
         """Called once per optimizer step; returns a blocking event or None.
 

@@ -263,6 +263,51 @@ def test_request_retry_surfaces_application_error_with_cause():
     assert ch.counters.get("retries") == 0
 
 
+class _Settled:
+    """A handed-down ``done``: records what the exchange settles it with."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.log = []
+
+    def succeed(self, value):
+        self.log.append((self.sim.now, "succeed", value))
+
+    def fail(self, exc):
+        self.log.append((self.sim.now, "fail", exc))
+
+
+def test_request_retry_settles_a_handed_down_done():
+    """With ``done=``, the exchange settles the caller's object and makes
+    no event of its own: a reply at once, a fatal far-side failure at
+    once, and a transport failure only after the retry loop gives up."""
+    sim = Simulator()
+    ch = ControlChannel(sim, latency=1e-4)
+    policy = RetryPolicy(max_attempts=3, base_delay=1e-3, budget=1.0)
+
+    def broken():
+        raise ValueError("far-side bug")
+
+    replied, fatal = _Settled(sim), _Settled(sim)
+    assert ch.request_with_retry(lambda: 7, policy=policy, done=replied) is replied
+    ch.request_with_retry(broken, policy=policy, done=fatal)
+    sim.run()
+    assert replied.log == [(pytest.approx(2e-4), "succeed", 7)]
+    [(when, how, exc)] = fatal.log
+    assert (when, how) == (pytest.approx(1e-4), "fail")
+    assert isinstance(exc, RpcApplicationError) and isinstance(exc.__cause__, ValueError)
+    assert ch.counters.get("retries") == 0
+
+    lost = _Settled(sim)
+    ch.inject_drops(True)
+    ch.request_with_retry(lambda: 7, policy=policy, done=lost)
+    sim.run()
+    [(_, how, exc)] = lost.log
+    assert how == "fail" and isinstance(exc, RpcRetriesExhausted)
+    assert isinstance(exc.__cause__, RpcTransportError)
+    assert ch.counters.get("retries") == 2
+
+
 def test_far_side_never_runs_on_the_callers_stack():
     sim = Simulator()
     ch = ControlChannel(sim, latency=0.0)

@@ -138,6 +138,7 @@ RUNNERS = {
     "torch-prisma-w0": lambda: run_torch_trial("torch-prisma", LENET, BATCH, 0, SCALE),
     "torch-prisma-w4": lambda: run_torch_trial("torch-prisma", LENET, BATCH, 4, SCALE),
     "write-matrix": lambda: run_write_workloads(0, n_files=64, epochs=1),
+    "cluster-serving": lambda: run_cluster_serving(0, n_nodes=4, n_files=32, epochs=1),
     "fault-sweep": lambda: run_fault_sweep(n_files=60),
     "clairvoyant": lambda: run_clairvoyant_comparison(n_files=40, epochs=2),
     "distributed": lambda: run_distributed_sweep(node_counts=(2,), scale=1000),

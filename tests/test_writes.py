@@ -157,7 +157,6 @@ def test_checkpoint_writer_over_object_store():
     assert store.bytes_written() == 2_000_000
     for path in store.list_prefix("/ckpt/"):
         assert store.stat(path).size == 1_000_000
-    assert writer.fs is store  # backward-compatible alias
 
 
 def test_checkpoint_writer_over_distributed_fs():
