@@ -37,6 +37,7 @@ logic is written exactly once.
 from __future__ import annotations
 
 import abc
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -62,7 +63,6 @@ from .retry import (
     RetryPolicy,
     RpcApplicationError,
     RpcRetriesExhausted,
-    RpcTimeout,
     RpcTransportError,
 )
 
@@ -139,8 +139,9 @@ class DirectTransport(ControlTransport):
     The live deployment's transport: the far side is a plain method call,
     but failures still classify exactly as over a channel — transport-class
     errors (:class:`~.retry.RpcTransportError`, :class:`~.retry.RpcTimeout`)
-    are retried with the :class:`~.retry.RetryPolicy` backoff schedule under
-    its wall-clock budget, anything else the callee raises becomes a fatal
+    are retried on the channel's schedule,
+    :meth:`~.retry.RetryPolicy.next_backoff`, under its wall-clock budget;
+    anything else the callee raises becomes a fatal
     :class:`~.retry.RpcApplicationError`, and an exhausted schedule raises
     :class:`~.retry.RpcRetriesExhausted` chaining the last transport error.
     """
@@ -165,31 +166,25 @@ class DirectTransport(ControlTransport):
         self.calls += 1
         pol = self.retry_policy
         start = self.clock()
-        last: Optional[BaseException] = None
-        for attempt in range(pol.max_attempts):
-            if attempt > 0:
-                backoff = pol.delay_for(attempt)
-                if self.clock() + backoff - start > pol.budget:
-                    break  # the backoff alone would blow the budget
-                self.retries += 1
-                if backoff > 0:
-                    self.sleep(backoff)
+        for failed in itertools.count(1):
             try:
                 return fn(*args)
             except RpcApplicationError:
                 raise
-            except (RpcTransportError, RpcTimeout) as exc:
-                last = exc
-                if self.clock() - start >= pol.budget:
-                    break
+            except RpcTransportError as exc:
+                backoff = pol.next_backoff(failed, self.clock() - start)
+                if backoff is None:
+                    raise RpcRetriesExhausted(
+                        f"{self.name}: gave up after {pol.max_attempts} attempts / "
+                        f"{pol.budget:g}s budget"
+                    ) from exc
             except Exception as exc:  # noqa: BLE001 - typed and re-raised
                 raise RpcApplicationError(
                     f"{self.name}: callee raised {type(exc).__name__}"
                 ) from exc
-        raise RpcRetriesExhausted(
-            f"{self.name}: gave up after {pol.max_attempts} attempts / "
-            f"{pol.budget:g}s budget"
-        ) from last
+            self.retries += 1
+            if backoff > 0:
+                self.sleep(backoff)
 
 
 # ---------------------------------------------------------------- registration
@@ -446,7 +441,9 @@ class ControlCycle:
                 call = gen.throw(error) if error is not None else gen.send(payload)
             except StopIteration:
                 return
-            payload, error = None, None
+            finally:
+                # A kept failure's traceback holds this frame: drop it here.
+                payload = error = None
             try:
                 payload = yield call.transport.issue(call.fn, *call.args)
             except _SKIPPABLE as exc:
@@ -462,7 +459,9 @@ class ControlCycle:
                 call = gen.throw(error) if error is not None else gen.send(payload)
             except StopIteration:
                 return
-            payload, error = None, None
+            finally:
+                # A kept failure's traceback holds this frame: drop it here.
+                payload = error = None
             try:
                 payload = call.transport.invoke(call.fn, *call.args)
             except _SKIPPABLE as exc:

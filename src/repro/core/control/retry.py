@@ -1,10 +1,11 @@
-"""The control plane's typed failures and retry schedule.
+"""The control plane's typed failures and the package's one retry schedule.
 
 Both transports share them: :class:`~.kernel.ChannelTransport` over the
 simulated :class:`~.rpc.ControlChannel`, and
-:class:`~.kernel.DirectTransport`, the live plane's in-process call.  This
-module imports nothing from the simulator, so the live plane can use it
-on its own.
+:class:`~.kernel.DirectTransport`, the live plane's in-process call; the
+prefetcher's serve-side re-read takes the same schedule.  This module
+imports nothing from the simulator, so the live plane can use it on its
+own.
 
 * :class:`RpcTransportError` — the message was lost (retryable);
 * :class:`RpcTimeout` — no reply within the caller's deadline (retryable);
@@ -17,6 +18,7 @@ on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from ...errors import SimulationError
 
@@ -43,11 +45,14 @@ class RpcRetriesExhausted(RpcError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Backoff schedule and budget for :meth:`ControlChannel.call_with_retry`.
+    """The one retry schedule: exponential backoff under a total budget.
 
-    ``budget`` caps the *total* time spent on one logical call (attempts +
-    backoff); a control plane that spends longer than a control period
-    nursing one RPC is better off skipping the cycle.
+    Every retry in the package takes its waits from :meth:`next_backoff`:
+    the channel's ``call_with_retry`` and ``request_with_retry``, the live
+    :class:`~.kernel.DirectTransport`, and the prefetcher's serve-side
+    re-read.  ``budget`` caps the *total* time spent on one logical call
+    (attempts + backoff); a control plane that spends longer than a
+    control period nursing one RPC is better off skipping the cycle.
     """
 
     max_attempts: int = 4
@@ -66,8 +71,15 @@ class RetryPolicy:
         if self.budget <= 0:
             raise ValueError("budget must be positive")
 
-    def delay_for(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (1-based; attempt 0 is free)."""
-        if attempt <= 0:
-            return 0.0
-        return min(self.base_delay * self.multiplier ** (attempt - 1), self.max_delay)
+    def next_backoff(self, failed: int, elapsed: float) -> Optional[float]:
+        """The wait before the next attempt, or None to give up.
+
+        ``failed`` attempts (at least one) have failed so far, and
+        ``elapsed`` seconds have passed since the first began.  The
+        schedule gives up once every attempt is spent, once the budget is
+        spent, or when the backoff alone would overrun it.
+        """
+        if failed >= self.max_attempts or elapsed >= self.budget:
+            return None
+        backoff = min(self.base_delay * self.multiplier ** (failed - 1), self.max_delay)
+        return None if elapsed + backoff > self.budget else backoff

@@ -26,8 +26,10 @@ which the live plane shares without the simulator):
   retrying re-executes a deterministic failure).
 
 :meth:`ControlChannel.call_with_retry` layers exponential backoff and a
-total time budget on top (:class:`RetryPolicy`), raising
-:class:`RpcRetriesExhausted` once the budget or attempt count runs out.
+total time budget on top (:class:`RetryPolicy`, the package's one retry
+schedule), failing with :class:`RpcRetriesExhausted` once the budget or
+attempt count runs out.  A retried exchange is a chain of attempts, each
+sent by a kernel timer after the backoff, with no process (:class:`_Exchange`).
 
 Data-plane requests
 -------------------
@@ -41,15 +43,14 @@ lost messages and late replies stay retryable transport errors, while a
 far-side failure (including a failed far-side event) is a fatal
 :class:`RpcApplicationError`, because replaying a deterministic far-side
 failure buys nothing; data-plane callers fall back to the backing store
-instead.  :meth:`ControlChannel.request_with_retry` adds the same backoff
-machinery :meth:`ControlChannel.call_with_retry` gives control RPCs.
+instead.  :meth:`ControlChannel.request_with_retry` retries on the same
+schedule :meth:`ControlChannel.call_with_retry` gives control RPCs.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from ...simcore.errors import ProcessError
 from ...simcore.event import Event
 from ...telemetry import CounterSet
 from .retry import (
@@ -71,16 +72,29 @@ REMOTE_LATENCY = 150e-6
 
 
 class _Exchange:
-    """One request/reply exchange in flight, as a chain of leg callbacks.
+    """One attempt of a request/reply exchange, as a chain of leg callbacks.
 
-    ``done`` is what the exchange settles: the caller's event, or any
-    object with an event's ``succeed(value)`` and ``fail(exc)`` that the
-    caller handed down.  The exchange lets go of it once it settles, and
-    cancels its deadline timer, which would fire into a settled exchange
-    and do nothing.
+    Building an attempt sends it, as building a process starts it: the
+    attempt counts in ``requests`` or ``calls``, its request leg is
+    scheduled and its deadline armed.  ``done`` is what the exchange
+    settles: the caller's event, or any object with an event's
+    ``succeed(value)`` and ``fail(exc)`` that the caller handed down.  The
+    exchange lets go of it once it settles, and cancels its deadline
+    timer, which would fire into a settled exchange and do nothing.
+
+    A retried exchange is a chain of attempts with no process: ``policy``
+    (None for a single attempt), ``start``, ``attempt`` and ``timeout``
+    are the retry state each attempt hands to the next, which it builds
+    after the policy's backoff.  Each attempt settles once, so the late
+    reply of a timed-out attempt cannot settle the retried one.  ``fn``
+    and ``args`` stay until the exchange is freed: an attempt whose
+    deadline beat its request leg still runs the far side on arrival.
     """
 
-    __slots__ = ("channel", "fn", "args", "awaited", "done", "retry", "deadline")
+    __slots__ = (
+        "channel", "fn", "args", "awaited", "done", "deadline",
+        "policy", "start", "attempt", "timeout",
+    )
 
     def __init__(
         self,
@@ -89,41 +103,71 @@ class _Exchange:
         args: tuple,
         awaited: bool,
         done: Any,
-        retry: Optional[Callable[[RpcError], None]],
+        timeout: Optional[float],
+        policy: Optional[RetryPolicy],
+        start: float,
+        attempt: int = 1,
     ) -> None:
         self.channel = channel
         self.fn = fn
         self.args = args
         self.awaited = awaited
         self.done = done
-        self.retry = retry
-        self.deadline: Optional[_Call] = None
+        self.timeout = timeout
+        self.policy = policy
+        self.start = start
+        self.attempt = attempt
+        (channel.counters.requests if awaited else channel.counters.calls).value += 1
+        sim = channel.sim
+        sim.call_later(channel.latency + channel._extra_delay, self.deliver)
+        self.deadline: Optional[_Call] = (
+            None if timeout is None else sim.call_later(timeout, self.expire)
+        )
 
     def settle(self, value: Any = None, exc: Optional[RpcError] = None) -> None:
-        done, retry = self.done, self.retry
+        done = self.done
         if done is None:
             return  # the deadline beat us; late replies are discarded
-        self.done = self.retry = None
+        self.done = None
+        ch = self.channel
         if self.deadline is not None:
-            self.channel.sim.cancel(self.deadline)
+            ch.sim.cancel(self.deadline)
             self.deadline = None
         if exc is None:
             done.succeed(value)
-        elif retry is not None and not isinstance(exc, RpcApplicationError):
-            retry(exc)
-        else:
+            return
+        policy = self.policy
+        if policy is None or isinstance(exc, RpcApplicationError):
             done.fail(exc)
+            return
+        backoff = policy.next_backoff(self.attempt, ch.sim.now - self.start)
+        if backoff is None:
+            spent = RpcRetriesExhausted(
+                f"{ch.name}: gave up after {policy.max_attempts} attempts / "
+                f"{policy.budget:g}s budget"
+            )
+            spent.__cause__ = exc
+            done.fail(spent)
+            return
+        ch.counters.add("retries")
+        ch.sim.call_later(backoff, self.retry, done)
+
+    def retry(self, done: Any) -> None:
+        """The backoff is over: send the next attempt."""
+        _Exchange(
+            self.channel, self.fn, self.args, self.awaited, done, self.timeout,
+            self.policy, self.start, self.attempt + 1,
+        )
 
     def deliver(self, _arg: None) -> None:
         """The request leg arrives: run the far side."""
         ch = self.channel
-        fn, args, self.fn, self.args = self.fn, self.args, None, None
         if ch._dropping:
             ch.counters.add("drops")
             self.settle(exc=RpcTransportError(f"{ch.name}: request dropped"))
             return
         try:
-            result = fn(*args)
+            result = self.fn(*self.args)
         except Exception as exc:  # noqa: BLE001 - typed by _far_side_error
             self.settle(exc=ch._far_side_error(exc))
             return
@@ -154,10 +198,10 @@ class _Exchange:
         else:
             self.settle(result)
 
-    def expire(self, timeout: float) -> None:
+    def expire(self, _arg: None) -> None:
         if self.done is not None:
             self.channel.counters.add("timeouts")
-            self.settle(exc=RpcTimeout(f"{self.channel.name}: no reply within {timeout:g}s"))
+            self.settle(exc=RpcTimeout(f"{self.channel.name}: no reply within {self.timeout:g}s"))
 
 
 class ControlChannel:
@@ -170,10 +214,10 @@ class ControlChannel:
         self.latency = latency
         self.name = name
         self.counters = CounterSet(sim.metrics, "rpc", name)
-        #: event and process names, formatted once per channel
+        #: event names, formatted once per channel
         self._labels = {
             label: f"{name}.{label}"
-            for label in ("call", "request", "call_retry", "request_retry", "rpc_retry")
+            for label in ("call", "request", "call_retry", "request_retry")
         }
         #: fault-injection state (windowed by the injector)
         self._dropping = False
@@ -205,50 +249,22 @@ class ControlChannel:
         policy: Optional[RetryPolicy] = None,
         done: Any = None,
     ) -> Any:
-        """Start one request/reply exchange; returns what it settles.
+        """Send an exchange's first attempt; returns what it settles.
 
         ``awaited`` selects data-plane semantics: a far-side return value
         that is itself an :class:`Event` is waited on before the reply leg,
         and its failure is a far-side (application) failure.  The far side
         never runs on the caller's stack: even at zero latency the request
         leg is a kernel event.  ``done``, when given, is settled in place
-        of a fresh event (see :class:`_Exchange`).
-
-        ``policy``, when given, is the backoff and budget of
-        call_with_retry / request_with_retry: the first attempt is this
-        exchange, and only a retryable failure of it spawns the retry
-        loop, which then settles that same ``done``.
+        of a fresh event.  ``policy``, when given, is the retry schedule of
+        call_with_retry / request_with_retry (see :class:`_Exchange`).
         """
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
         sim = self.sim
         if done is None:
             done = Event(sim, name=self._labels[label])
-        retry = None
-        if policy is not None:
-            start = sim.now
-
-            def retry(exc: RpcError) -> None:
-                invoke = self.request if awaited else self.call
-                loop = sim.process(
-                    self._retry_loop(invoke, fn, args, policy, timeout, start, exc),
-                    name=self._labels["rpc_retry"],
-                )
-
-                def settle(p: Event) -> None:
-                    if p.ok:
-                        done.succeed(p.value)
-                        return
-                    err = p.exception
-                    cause = err.__cause__ if isinstance(err, ProcessError) else err
-                    done.fail(cause if isinstance(cause, RpcError) else err)
-
-                loop.add_callback(settle)
-
-        exchange = _Exchange(self, fn, args, awaited, done, retry)
-        sim.call_later(self.latency + self._extra_delay, exchange.deliver)
-        if timeout is not None:
-            exchange.deadline = sim.call_later(timeout, exchange.expire, timeout)
+        _Exchange(self, fn, args, awaited, done, timeout, policy, sim.now)
         return done
 
     def _far_side_error(self, exc: BaseException) -> RpcError:
@@ -274,7 +290,6 @@ class ControlChannel:
         late, not the request lost — exactly the at-most-once ambiguity a
         real RPC layer has.
         """
-        self.counters.calls.value += 1
         return self._dispatch(fn, args, timeout, awaited=False, label="call")
 
     def request(self, fn: Callable[..., Any], *args: Any, timeout: Optional[float] = None) -> Event:
@@ -288,39 +303,7 @@ class ControlChannel:
         fall back, not replay.  ``timeout`` bounds the *whole* exchange,
         including the far-side service time.
         """
-        self.counters.requests.value += 1
         return self._dispatch(fn, args, timeout, awaited=True, label="request")
-
-    def _retry_loop(
-        self,
-        invoke: Callable[..., Event],
-        fn: Callable[..., Any],
-        args: tuple,
-        pol: RetryPolicy,
-        timeout: Optional[float],
-        start: float,
-        last: RpcError,
-    ):
-        """Attempts 2..N after a first attempt failed with ``last``."""
-        for attempt in range(1, pol.max_attempts):
-            if self.sim.now - start >= pol.budget:
-                break
-            backoff = pol.delay_for(attempt)
-            if self.sim.now + backoff - start > pol.budget:
-                break  # the backoff alone would blow the budget
-            self.counters.add("retries")
-            if backoff > 0:
-                yield self.sim.timeout(backoff)
-            try:
-                return (yield invoke(fn, *args, timeout=timeout))
-            except RpcApplicationError:
-                raise
-            except RpcError as exc:
-                last = exc
-        raise RpcRetriesExhausted(
-            f"{self.name}: gave up after {pol.max_attempts} attempts / "
-            f"{pol.budget:g}s budget"
-        ) from last
 
     def call_with_retry(
         self,
@@ -337,7 +320,6 @@ class ControlChannel:
         attempt count or the time budget runs out the event fails with
         :class:`RpcRetriesExhausted` chaining the last transport error.
         """
-        self.counters.calls.value += 1
         return self._dispatch(fn, args, timeout, False, "call_retry", policy or RetryPolicy())
 
     def request_with_retry(
@@ -359,10 +341,9 @@ class ControlChannel:
         ``done``, when given, is settled in place of a fresh event and
         returned: ``done.succeed(value)`` on a reply, and ``done.fail(exc)``
         with a fatal failure at once or with :class:`RpcRetriesExhausted`
-        after the retry loop.  A caller that falls back on failure hands
+        once the schedule gives up.  A caller that falls back on failure hands
         down an object whose ``fail`` starts the fallback.
         """
-        self.counters.requests.value += 1
         return self._dispatch(
             fn, args, timeout, True, "request_retry", policy or RetryPolicy(), done
         )

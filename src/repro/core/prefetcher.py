@@ -35,14 +35,19 @@ Fault tolerance (the graceful-degradation half of the data plane):
   would.
 * **Serve-side retry.**  A staged :class:`TransientReadError` (the
   retryable storage error class) is not surfaced to the consumer
-  immediately: the serve path re-reads the file directly from the backend
-  with exponential backoff, up to ``max_read_retries`` attempts
-  (``serve_retries`` counts attempts).  Fatal errors — wrong path, bad
-  descriptor — still fail the serve event at once.
+  immediately: the serve path re-reads the file directly from the backend,
+  up to ``max_read_retries`` times, waiting 1 ms before the first re-read
+  and doubling (``serve_retries`` counts attempts).  The waits come from
+  the control channel's schedule, a
+  :class:`~repro.core.control.retry.RetryPolicy`, here with no cap and no
+  budget.  Fatal errors — wrong path, bad descriptor — still fail the
+  serve event at once.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from ..simcore.errors import ProcessError
@@ -50,6 +55,7 @@ from ..simcore.event import Event
 from ..telemetry import TimeWeightedGauge
 from ..storage.filesystem import TransientReadError
 from .buffer import HIT_OVERHEAD, MEMORY_BANDWIDTH, PrefetchBuffer
+from .control.retry import RetryPolicy
 from .filename_queue import PrefetchCore
 from .optimization import MetricsSnapshot, OptimizationObject
 from .schedule import LookaheadSchedule
@@ -137,10 +143,9 @@ class _Producer:
         pf = self.pf
         fetch = self.fetch
         if read is not None:
-            try:
+            exc = read.exception
+            if exc is None:
                 payload = nbytes = read.value
-            except Exception as failure:  # noqa: BLE001 - deliver, don't die
-                exc = failure
         if exc is not None:
             # A failed read must reach the consumer waiting for this path
             # (or it would block forever); stage the exception — the
@@ -221,9 +226,8 @@ class ParallelPrefetcher(PrefetchCore, OptimizationObject):
         Hard ceiling the control plane may never exceed.
     max_read_retries:
         Serve-side retry attempts for staged *transient* read errors
-        (0 disables retry and surfaces the staged error directly).
-    retry_backoff:
-        First retry delay in seconds; doubles per attempt.
+        (0 disables retry and surfaces the staged error directly).  The
+        first waits 1 ms, and each wait doubles.
     lookahead_epochs:
         How many epochs past the live one producers may fetch ahead when a
         :class:`~repro.core.schedule.LookaheadSchedule` is installed
@@ -238,7 +242,6 @@ class ParallelPrefetcher(PrefetchCore, OptimizationObject):
         buffer_capacity: int = 256,
         max_producers: int = 16,
         max_read_retries: int = 2,
-        retry_backoff: float = 1e-3,
         lookahead_epochs: int = 0,
         name: str = "prisma.prefetch",
     ) -> None:
@@ -246,8 +249,6 @@ class ParallelPrefetcher(PrefetchCore, OptimizationObject):
         PrefetchCore.__init__(self, producers, max_producers, lookahead_epochs, name)
         if max_read_retries < 0:
             raise ValueError("max_read_retries must be >= 0")
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
         self.buffer = self._new_buffer(buffer_capacity)
         self._serve_name = f"{name}.serve"
         #: request-to-delivery time of each traced serve
@@ -255,7 +256,10 @@ class ParallelPrefetcher(PrefetchCore, OptimizationObject):
             "prisma.serve_latency_seconds", object=name
         )
         self.max_read_retries = max_read_retries
-        self.retry_backoff = retry_backoff
+        #: the serve-side re-read schedule: 1 ms, doubling, no cap, no budget
+        self._read_retry = RetryPolicy(
+            max_read_retries + 1, base_delay=1e-3, max_delay=math.inf, budget=math.inf
+        )
         #: live producers by worker id, for crash injection
         self._producers: Dict[int, _Producer] = {}
         #: producers currently blocked in a backend read (paper Fig. 3 input)
@@ -380,20 +384,20 @@ class ParallelPrefetcher(PrefetchCore, OptimizationObject):
             done.callbacks.append(lambda _ev: self._spawn_up_to_target())
         return done
 
-    def _retry_read(self, path: str, first_exc: Exception, done: Event):
-        """Re-read ``path`` from the backend with exponential backoff.
+    def _retry_read(self, path: str, exc: Exception, done: Event):
+        """Re-read ``path`` from the backend on the serve-retry schedule.
 
         Degraded-mode data path: the buffered copy was a staged transient
         failure, so the sample is fetched directly (no re-staging — the
         consumer is already waiting on ``done``).
         """
-        delay = self.retry_backoff
-        exc = first_exc
-        for _ in range(self.max_read_retries):
+        start = self.sim.now
+        for failed in itertools.count(1):
+            backoff = self._read_retry.next_backoff(failed, self.sim.now - start)
+            if backoff is None:
+                break
             self.serve_retries += 1
-            if delay > 0:
-                yield self.sim.timeout(delay)
-            delay *= 2
+            yield self.sim.timeout(backoff)
             try:
                 nbytes = yield self.backend.read_whole(path)
             except Exception as retry_exc:  # noqa: BLE001 - classified below

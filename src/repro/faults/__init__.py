@@ -9,8 +9,8 @@ scenario, so every chaos-test discovery is a reproducer.
 
 The graceful-degradation counterparts live where the recovery happens:
 serve-side retry and producer supervision in
-:class:`~repro.core.prefetcher.ParallelPrefetcher`, typed errors and
-retry/backoff in :mod:`repro.core.control.rpc`, and the
+:class:`~repro.core.prefetcher.ParallelPrefetcher`, typed errors and the
+one retry schedule in :mod:`repro.core.control.retry`, and the
 :class:`~repro.core.control.policy.DegradedModePolicy` control wrapper.
 """
 

@@ -24,6 +24,7 @@ from repro.core import (
     RpcTimeout,
     RpcTransportError,
 )
+from repro.core.control.kernel import DirectTransport
 from repro.core.control.rpc import ControlChannel
 from repro.core.optimization import MetricsSnapshot, TuningSettings
 from repro.experiments.faults import demo_plan, run_fault_sweep
@@ -155,11 +156,78 @@ def test_rpc_drop_raises_typed_transport_error():
 
 
 def test_rpc_timeout_beats_slow_reply():
+    """The deadline fails the call at 2 ms, and the request leg still
+    lands at 5 ms and runs ``fn``: the at-most-once ambiguity ``call``
+    documents."""
     sim = Simulator()
     ch = ControlChannel(sim, latency=5e-3)  # round trip 10 ms
-    out = _drive(sim, lambda: (yield ch.call(lambda: 1, timeout=2e-3)))
-    assert isinstance(out["exc"], RpcTimeout)
+    ran, failed = [], []
+    ev = ch.call(lambda: ran.append(sim.now), timeout=2e-3)
+    ev.add_callback(lambda e: failed.append((sim.now, e.exception)))
+    sim.run()  # dry: past the timeout, the far side and the late reply
+    [(when, exc)] = failed
+    assert when == pytest.approx(2e-3) and isinstance(exc, RpcTimeout)
     assert ch.counters.get("timeouts") == 1
+    assert ran == [pytest.approx(5e-3)]
+
+
+def test_timed_out_request_attempts_still_run_the_far_side():
+    """Each attempt's deadline (1 ms) beats its request leg (2 ms): every
+    attempt times out, and every leg still lands and runs the far side,
+    once per attempt, as often as ``requests`` counts."""
+    sim = Simulator()
+    ch = ControlChannel(sim, latency=2e-3)
+    policy = RetryPolicy(max_attempts=3, base_delay=1e-3, budget=1.0)
+    ran, failed = [], []
+    ev = ch.request_with_retry(lambda: ran.append(sim.now), policy=policy, timeout=1e-3)
+    ev.add_callback(lambda e: failed.append((sim.now, e.exception)))
+    sim.run()
+    # Sent at 0, 2 and 5 ms (timeouts at 1, 3 and 6 ms; backoffs 1 and 2 ms).
+    [(when, exc)] = failed
+    assert when == pytest.approx(6e-3) and isinstance(exc, RpcRetriesExhausted)
+    assert isinstance(exc.__cause__, RpcTimeout)
+    assert ran == [pytest.approx(t) for t in (2e-3, 4e-3, 7e-3)]
+    assert len(ran) == ch.counters.get("requests") == 3
+    assert ch.counters.get("timeouts") == 3 and ch.counters.get("retries") == 2
+
+
+def test_channel_and_direct_transport_share_one_schedule():
+    """One policy, two transports: attempts at 0, 1 and 3 ms, then the
+    schedule gives up, because the 4 ms backoff would overrun the 6 ms
+    budget."""
+    policy = RetryPolicy(max_attempts=5, base_delay=1e-3, budget=6e-3)
+    expected = [pytest.approx(t) for t in (0.0, 1e-3, 3e-3)]
+
+    sim = Simulator()
+    ch = ControlChannel(sim, latency=0.0)
+    ch.inject_drops(True)
+    failed, drops = [], []  # at zero latency a request drops as it is sent
+    ev = ch.call_with_retry(lambda: 1, policy=policy)
+    ev.add_callback(lambda e: failed.append((sim.now, e.exception)))
+    while sim.peek() < float("inf"):
+        sim.step()
+        if ch.counters.get("drops") > len(drops):
+            drops.append(sim.now)
+    assert drops == expected
+    [(when, exc)] = failed
+    assert when == pytest.approx(3e-3) and isinstance(exc, RpcRetriesExhausted)
+    assert ch.counters.get("calls") == 3 and ch.counters.get("retries") == 2
+
+    now, attempts = [0.0], []
+
+    def sleep(seconds):
+        now[0] += seconds
+
+    def down():
+        attempts.append(now[0])
+        raise RpcTransportError("down")
+
+    transport = DirectTransport(retry_policy=policy, clock=lambda: now[0], sleep=sleep)
+    with pytest.raises(RpcRetriesExhausted) as excinfo:
+        transport.invoke(down)
+    assert attempts == expected
+    assert isinstance(excinfo.value.__cause__, RpcTransportError)
+    assert transport.calls == 1 and transport.retries == 2
 
 
 def test_rpc_far_side_exception_is_fatal_application_error():
@@ -429,6 +497,36 @@ def test_serve_retries_transient_staged_errors():
     assert len(served) == len(paths)
     assert pf.read_errors == len(paths)
     assert pf.serve_retries >= len(paths)
+
+
+def test_serve_retry_waits_1_then_2_ms_and_fails_with_the_last_error():
+    """A path that fails transiently on every read: the serve re-reads it
+    after 1 ms, then after 2 ms more, then fails with the last error."""
+    sim, _device, fs, _posix, pf, paths, _streams = _stack(n_files=4)
+    reads = []
+
+    def hook(path, nbytes):
+        if path != paths[0]:
+            return None
+        reads.append((sim.now, TransientReadError(path)))
+        return ReadFault(error=reads[-1][1])
+
+    fs.fault_hook = hook
+    pf.on_epoch(paths)
+    out = {}
+
+    def consumer():
+        try:
+            yield pf.serve(paths[0])
+        except TransientReadError as exc:
+            out["exc"], out["at"] = exc, sim.now
+
+    sim.process(consumer())
+    sim.run()
+    # The producer's read at 0, then the re-reads; a faulted read fails at once.
+    assert [when for when, _ in reads] == [0.0, pytest.approx(1e-3), pytest.approx(3e-3)]
+    assert out["exc"] is reads[-1][1] and out["at"] == pytest.approx(3e-3)
+    assert pf.serve_retries == 2 and pf.read_errors == 1
 
 
 def test_fatal_staged_errors_still_surface():

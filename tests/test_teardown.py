@@ -30,6 +30,7 @@ from repro.experiments.faults import run_fault_sweep
 from repro.experiments.predictive import check_live_parity, run_policy_trial
 from repro.experiments.runner import run_tf_trial, run_torch_trial
 from repro.experiments.writes import run_write_workloads
+from repro.faults import RPC_DELAY, RPC_DROP, FaultEvent, FaultPlan
 from repro.frameworks.models import ALEXNET, LENET, RESNET50
 from repro.perfmodel.sweep import run_sweep_trial
 from repro.simcore import AnyOf, Simulator, Store
@@ -139,7 +140,18 @@ RUNNERS = {
     "torch-prisma-w4": lambda: run_torch_trial("torch-prisma", LENET, BATCH, 4, SCALE),
     "write-matrix": lambda: run_write_workloads(0, n_files=64, epochs=1),
     "cluster-serving": lambda: run_cluster_serving(0, n_nodes=4, n_files=32, epochs=1),
+    # Retried, timed-out and exhausted peer reads, and fallbacks.
+    "cluster-serving-faulted": lambda: run_cluster_serving(
+        3, n_nodes=4, n_files=24, epochs=2, rpc_timeout=2e-3,
+        fault_plan=FaultPlan([
+            FaultEvent(RPC_DROP, time=0.0, duration=5e-3),
+            FaultEvent(RPC_DELAY, time=6e-3, duration=5e-3, severity=2e-3),
+        ]),
+    ),
+    # Ends at t = 0.046 s, before the default plan's first fault.
     "fault-sweep": lambda: run_fault_sweep(n_files=60),
+    # ``faults-demo``'s run: every fault kind, serve and channel retries.
+    "fault-sweep-faulted": run_fault_sweep,
     "clairvoyant": lambda: run_clairvoyant_comparison(n_files=40, epochs=2),
     "distributed": lambda: run_distributed_sweep(node_counts=(2,), scale=1000),
     "multitenant": lambda: run_multitenant_comparison(n_jobs=2, files_per_job=32),
