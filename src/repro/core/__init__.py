@@ -6,8 +6,8 @@ chiefly the :class:`ParallelPrefetcher`), the control plane
 (:mod:`repro.core.control`), and the TensorFlow / PyTorch integrations
 (:mod:`repro.core.integrations`).
 
-:func:`build_prisma` wires a complete SDS stack in one call; it is
-configured with a typed :class:`PrismaConfig`.
+:func:`build_prisma` wires a complete SDS stack in one call and
+:func:`build_stage` its stage alone, both from a typed :class:`PrismaConfig`.
 
 Every name below is exported lazily: importing this package imports none
 of its submodules, so the live plane (:mod:`repro.core.live`) loads
@@ -18,7 +18,7 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".buffer": ["PrefetchBuffer"],
-    ".builder": ["PrismaConfig", "build_prisma"],
+    ".builder": ["PrismaConfig", "build_prisma", "build_stage"],
     ".control": [
         "AutotuneParams",
         "ControlChannel",

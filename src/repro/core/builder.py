@@ -1,9 +1,9 @@
 """One call from a typed :class:`PrismaConfig` to a running simulated stack.
 
-:func:`build_prisma` assembles the data plane (a :class:`PrismaStage`
-hosting a :class:`ParallelPrefetcher`, and optionally a tiering object
-over a fast device), the storage backend when the config describes one,
-and a started :class:`Controller`.
+:func:`build_stage` assembles the data plane (a labelled :class:`PrismaStage`
+hosting a :class:`ParallelPrefetcher`, and optionally a tiering object over
+a fast device) and the storage backend when the config describes one.
+:func:`build_prisma` adds the stack's own started :class:`Controller`.
 """
 
 from dataclasses import dataclass, replace
@@ -21,12 +21,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.kernel import Simulator
     from ..storage.posix import PosixLike
 
-__all__ = ["PrismaConfig", "build_prisma"]
+__all__ = ["PrismaConfig", "build_prisma", "build_stage"]
 
 
 @dataclass(frozen=True)
 class PrismaConfig:
-    """Typed configuration for :func:`build_prisma`.
+    """Typed configuration for :func:`build_stage` and :func:`build_prisma`.
 
     One value object instead of a drift-prone keyword list: experiments
     construct a config once, ``dataclasses.replace`` it per trial, and the
@@ -80,24 +80,23 @@ class PrismaConfig:
         return replace(self, **overrides)
 
 
-def build_prisma(
+def build_stage(
     sim: "Simulator",
     backend: Optional["PosixLike"] = None,
     config: Optional[PrismaConfig] = None,
-) -> Tuple[PrismaStage, ParallelPrefetcher, Controller]:
-    """Assemble a complete PRISMA stack over ``backend``.
+) -> Tuple[PrismaStage, ParallelPrefetcher]:
+    """Assemble one PRISMA stage over ``backend``; no controller attached.
 
-    Returns ``(stage, prefetcher, controller)``; the controller is already
-    started.  ``backend`` may be any :class:`~repro.storage.posix.PosixLike`
-    built by the caller, **or** omitted when ``config.backend`` carries a
+    Returns ``(stage, prefetcher)``.  ``backend`` may be any
+    :class:`~repro.storage.posix.PosixLike` built by the caller, **or**
+    omitted when ``config.backend`` carries a
     :class:`~repro.storage.backend.BackendConfig` — then the storage stack
     (POSIX filesystem or object store, per ``kind``) is constructed here
     and wrapped in a :class:`~repro.storage.posix.PosixLayer`; the built
     backend is reachable as ``stage.backend.fs``.  All tuning comes in as
     a :class:`PrismaConfig`.
     """
-    if config is None:
-        config = PrismaConfig()
+    config = config or PrismaConfig()
     if config.backend is not None:
         if backend is not None:
             raise ValueError(
@@ -108,7 +107,7 @@ def build_prisma(
         backend = PosixLayer(sim, build_backend(sim, config.backend))
     elif backend is None:
         raise ValueError(
-            "build_prisma needs a backend: pass one, or set PrismaConfig.backend"
+            "a PRISMA stage needs a backend: pass one, or set PrismaConfig.backend"
         )
     tiering = None
     prefetch_backend = backend
@@ -163,6 +162,18 @@ def build_prisma(
         config.backend.kind if config.backend is not None else "posix"
     )
     stage.feature_labels["lookahead_epochs"] = config.lookahead_epochs
+    return stage, prefetcher
+
+
+def build_prisma(
+    sim: "Simulator",
+    backend: Optional["PosixLike"] = None,
+    config: Optional[PrismaConfig] = None,
+) -> Tuple[PrismaStage, ParallelPrefetcher, Controller]:
+    """:func:`build_stage` plus its own started controller, running
+    ``config.policy``; returns ``(stage, prefetcher, controller)``."""
+    config = config or PrismaConfig()
+    stage, prefetcher = build_stage(sim, backend, config)
     controller = Controller(
         sim, period=config.control_period, name=f"{config.name}.controller"
     )

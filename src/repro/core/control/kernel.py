@@ -175,7 +175,7 @@ class DirectTransport(ControlTransport):
                 backoff = pol.next_backoff(failed, self.clock() - start)
                 if backoff is None:
                     raise RpcRetriesExhausted(
-                        f"{self.name}: gave up after {pol.max_attempts} attempts / "
+                        f"{self.name}: gave up after {failed} attempts / "
                         f"{pol.budget:g}s budget"
                     ) from exc
             except Exception as exc:  # noqa: BLE001 - typed and re-raised

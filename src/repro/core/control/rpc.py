@@ -143,7 +143,7 @@ class _Exchange:
         backoff = policy.next_backoff(self.attempt, ch.sim.now - self.start)
         if backoff is None:
             spent = RpcRetriesExhausted(
-                f"{ch.name}: gave up after {policy.max_attempts} attempts / "
+                f"{ch.name}: gave up after {self.attempt} attempts / "
                 f"{policy.budget:g}s budget"
             )
             spent.__cause__ = exc

@@ -20,10 +20,12 @@ the documented CoorDL trade-off.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from collections import deque
+from itertools import count
+from typing import TYPE_CHECKING, Deque, Dict, List, Tuple
 
 from ..simcore.event import Event
-from ..simcore.resources import FilterStore
+from ..simcore.resources import KeyedStore
 from ..telemetry import CounterSet, TimeWeightedGauge
 from .prefetcher import ParallelPrefetcher
 
@@ -35,13 +37,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class _SharedBuffer:
     """Path-keyed buffer whose entries survive until ``fanout`` takes each.
 
-    Entries are mutable ``[path, payload, remaining]`` cells; takes
-    decrement ``remaining`` *in place* (the slot is only freed when the
-    last owed copy is delivered), and consumers of absent paths park on an
-    explicit waiter list served directly at insert time.  Re-staging taken
-    entries through the store's put queue would instead race producers for
-    freed slots — the same starvation-deadlock class the live buffer's
-    demanded-path rule guards against.
+    Each insert is a :class:`KeyedStore` entry keyed ``(path, n)``, so a
+    restaged path holds both copies while a lagging consumer owes the old
+    one; the oldest serves first.  Entries are ``[path, payload, remaining]``
+    cells; takes decrement ``remaining`` *in place* (the last owed copy frees
+    the slot), and consumers of absent paths wait on a list served at insert.
+    Re-staging taken entries through the put queue would race producers for
+    freed slots, the deadlock the live buffer's demanded-path rule prevents.
     """
 
     def __init__(self, sim: "Simulator", capacity: int, fanout: int, name: str) -> None:
@@ -51,7 +53,10 @@ class _SharedBuffer:
             raise ValueError("fanout must be >= 1")
         self.sim = sim
         self.fanout = fanout
-        self._store: FilterStore = FilterStore(sim, capacity=capacity, name=name)
+        self._store = KeyedStore(sim, capacity=capacity, name=name)
+        #: path -> keys of its entries, oldest first (puts admit in order)
+        self._keys: Dict[str, Deque[Tuple[str, int]]] = {}
+        self._serial = count()
         self._waiters: Dict[str, List[Event]] = {}
         self.counters = CounterSet(sim.metrics, "prefetch", name)
         self.occupancy = TimeWeightedGauge(sim, 0, name=f"{name}.occupancy")
@@ -70,20 +75,23 @@ class _SharedBuffer:
         return self._store.level
 
     def _find(self, path: str):
-        for item in self._store.items:
-            if item[0] == path:
-                return item
-        return None
+        keys = self._keys.get(path)
+        return self._store.peek(keys[0]) if keys else None
 
     def _release_slot(self, entry) -> None:
-        """Pop a fully-consumed entry, freeing its slot for producers."""
-        self._store.get(lambda it: it is entry)  # succeeds immediately
+        """Drop a fully-consumed entry (its path's oldest), freeing its slot."""
+        keys = self._keys[entry[0]]
+        self._store.discard(keys.popleft())
+        if not keys:
+            del self._keys[entry[0]]
         self.occupancy.set(self.level)
 
     def insert(self, path: str, payload) -> Event:
         self.counters.add("inserts")
         done = Event(self.sim, name="shared.insert")
-        inner = self._store.put([path, payload, self.fanout])
+        key = (path, next(self._serial))
+        self._keys.setdefault(path, deque()).append(key)
+        inner = self._store.put(key, [path, payload, self.fanout])
 
         def settled(ev: Event) -> None:
             if not ev.ok:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..cluster import ClusterStore
-from ..core import Controller, ParallelPrefetcher, PrismaAutotunePolicy, PrismaStage
+from ..core import Controller, PrismaAutotunePolicy, PrismaConfig, build_stage
 from ..core.control import ControlChannel
 from ..core.integrations.tf_binding import PrismaTensorFlowPipeline
 from ..dataset.catalog import DatasetCatalog
@@ -153,7 +153,6 @@ class DistributedTrainingJob:
         global_shuffler = EpochShuffler(len(catalog), streams.spawn("order"))
 
         self.controller: Optional[Controller] = None
-        self.prefetchers: List[ParallelPrefetcher] = []
         if use_prisma:
             self.controller = Controller(
                 sim, period=control_period, name=f"{name}.ctl"
@@ -173,14 +172,10 @@ class DistributedTrainingJob:
                 if cluster_store is not None
                 else shared_posix
             )
-            if use_prisma:
-                prefetcher = ParallelPrefetcher(
-                    sim, node_posix, name=f"{name}.n{node}.pf"
+            if self.controller is not None:
+                stage, _ = build_stage(
+                    sim, node_posix, PrismaConfig(name=f"{name}.n{node}")
                 )
-                stage = PrismaStage(
-                    sim, node_posix, [prefetcher], name=f"{name}.n{node}.stage"
-                )
-                assert self.controller is not None
                 # One logically centralized controller, one named channel
                 # per node — remote-latency tuning and per-node fault
                 # injection both key off the channel name.
@@ -189,7 +184,6 @@ class DistributedTrainingJob:
                     PrismaAutotunePolicy(),
                     channel=ControlChannel(sim, name=f"{name}.n{node}.ctl.ch"),
                 )
-                self.prefetchers.append(prefetcher)
                 source = PrismaTensorFlowPipeline(
                     sim, catalog, shard, self.local_batch, stage, model,
                     name=f"{name}.n{node}.src",
@@ -215,7 +209,7 @@ class DistributedTrainingJob:
                 yield gpus.train_step(self.model, batch)
                 yield self.barrier.arrive(step_index)
                 step_index += 1
-            # Drain the shard's remainder so the pipeline processes finish.
+            # Drain the shard's remainder up to the epoch's end marker (None).
             while True:
                 batch = yield source.next_batch()
                 if batch is None:

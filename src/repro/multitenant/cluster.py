@@ -18,8 +18,10 @@ from ..cluster import ClusterStore
 from ..core import (
     Controller,
     ParallelPrefetcher,
-    PrismaAutotunePolicy,
+    PrismaConfig,
     PrismaStage,
+    build_prisma,
+    build_stage,
 )
 from ..core.control import ControlChannel, GlobalPolicy
 from ..dataset.catalog import DatasetCatalog
@@ -85,7 +87,6 @@ class SharedStorageCluster:
         control_period: float,
         coordination: str = "independent",
         global_policy: Optional[GlobalPolicy] = None,
-        max_producers_per_job: int = 8,
         cluster_store: Optional[ClusterStore] = None,
     ) -> None:
         if coordination not in ("independent", "global", "none"):
@@ -96,7 +97,6 @@ class SharedStorageCluster:
         self.shared_posix = shared_posix
         self.control_period = control_period
         self.coordination = coordination
-        self.max_producers_per_job = max_producers_per_job
         #: optional cooperative cache shared by the tenants: each job's
         #: *training* pipeline mounts one cluster node, so concurrent jobs
         #: scanning the same dataset stop multiplying backing-store reads
@@ -147,28 +147,16 @@ class SharedStorageCluster:
                 model, name=f"job{index}.train",
             )
         else:
-            prefetcher = ParallelPrefetcher(
-                self.sim,
-                train_posix,
-                max_producers=self.max_producers_per_job,
-                name=f"job{index}.prefetch",
-            )
-            stage = PrismaStage(
-                self.sim, train_posix, [prefetcher], name=f"job{index}.stage"
-            )
-            # Either way the stage attaches through the same kernel
-            # registration surface, over a per-job named channel (so
-            # fault injection and telemetry can single out one tenant).
-            channel = ControlChannel(self.sim, name=f"job{index}.ctl.ch")
-            if self.coordination == "independent":
-                ctl = Controller(
-                    self.sim, period=self.control_period, name=f"job{index}.ctl"
-                )
-                ctl.register(stage, PrismaAutotunePolicy(), channel=channel)
+            prisma = PrismaConfig(control_period=self.control_period, name=f"job{index}")
+            if self._global_controller is None:
+                stage, prefetcher, ctl = build_prisma(self.sim, train_posix, prisma)
                 self._controllers.append(ctl)
             else:
-                assert self._global_controller is not None
-                self._global_controller.register(stage, channel=channel)
+                stage, prefetcher = build_stage(self.sim, train_posix, prisma)
+                # A per-job named channel lets fault injection single out a tenant.
+                self._global_controller.register(
+                    stage, channel=ControlChannel(self.sim, name=f"job{index}.ctl.ch")
+                )
             train_src = PrismaTensorFlowPipeline(
                 self.sim, catalog, tr_sh, config.global_batch, stage, model,
                 name=f"job{index}.train",
@@ -194,11 +182,9 @@ class SharedStorageCluster:
         return result
 
     def run(self) -> ClusterResult:
-        """Start all controllers and tenants; drive to completion."""
+        """Start the global controller and the tenants; drive to completion."""
         if self.cluster_store is not None:
             self.cluster_store.begin_epoch()
-        for ctl in self._controllers:
-            ctl.start()
         if self._global_controller is not None:
             self._global_controller.start()
         events = [

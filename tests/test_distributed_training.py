@@ -10,8 +10,10 @@ from repro.distributed import (
     allreduce_cost,
 )
 from repro.frameworks import ALEXNET, LENET
+from repro.perfmodel import context_from_decision_args
 from repro.simcore import RandomStreams, Simulator
 from repro.storage import BlockDevice, Filesystem, PosixLayer, intel_p4600, ramdisk
+from repro.telemetry import Telemetry
 
 
 # ---------------------------------------------------------------- StepBarrier
@@ -131,6 +133,20 @@ def test_job_prisma_faster_than_baseline():
     baseline = make_job(2, use_prisma=False).run()
     prisma = make_job(2, use_prisma=True).run()
     assert prisma.total_time < baseline.total_time
+
+
+def test_node_decisions_are_model_data():
+    """Node stages come from the builder, so every control decision
+    carries its feature labels and parses as performance-model data."""
+    job = make_job(2, use_prisma=True)
+    tel = Telemetry().attach(job.sim)
+    job.run()
+    decisions = [s for s in tel.instants("control") if s.name == "control.decision"]
+    assert decisions, "the nodes' controller made no decisions"
+    for d in decisions:
+        assert d.args["backend_kind"] == "posix"
+        assert d.args["lookahead_epochs"] == 0
+        assert context_from_decision_args(d.args) is not None
 
 
 def test_job_prisma_smooths_barrier_jitter():

@@ -211,6 +211,7 @@ def test_channel_and_direct_transport_share_one_schedule():
     assert drops == expected
     [(when, exc)] = failed
     assert when == pytest.approx(3e-3) and isinstance(exc, RpcRetriesExhausted)
+    assert "after 3 attempts" in str(exc)
     assert ch.counters.get("calls") == 3 and ch.counters.get("retries") == 2
 
     now, attempts = [0.0], []
@@ -226,6 +227,7 @@ def test_channel_and_direct_transport_share_one_schedule():
     with pytest.raises(RpcRetriesExhausted) as excinfo:
         transport.invoke(down)
     assert attempts == expected
+    assert "after 3 attempts" in str(excinfo.value)
     assert isinstance(excinfo.value.__cause__, RpcTransportError)
     assert transport.calls == 1 and transport.retries == 2
 

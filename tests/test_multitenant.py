@@ -12,8 +12,10 @@ from repro.multitenant import (
     PriorityGlobalPolicy,
     SharedStorageCluster,
 )
+from repro.perfmodel import context_from_decision_args
 from repro.simcore import RandomStreams, Simulator
 from repro.storage import BlockDevice, Filesystem, PosixLayer, intel_p4600
+from repro.telemetry import Telemetry
 
 
 def make_cluster(coordination, n_jobs=2, global_policy=None, n_train=48):
@@ -84,6 +86,27 @@ def test_cluster_global_coordination_runs():
     for job in result.jobs:
         assert job.prefetcher is not None
         assert job.prefetcher.allocated_producers.max_seen() <= 4
+
+
+@pytest.mark.parametrize("coordination", ["independent", "global"])
+def test_tenant_decisions_are_model_data(coordination):
+    """Tenants' stages come from the builder, so every control decision
+    carries its feature labels and parses as performance-model data."""
+    cluster = make_cluster(
+        coordination,
+        global_policy=(
+            FairShareGlobalPolicy(total_producer_budget=8, per_job_cap=4)
+            if coordination == "global" else None
+        ),
+    )
+    tel = Telemetry().attach(cluster.sim)
+    cluster.run()
+    decisions = [s for s in tel.instants("control") if s.name == "control.decision"]
+    assert decisions, "the tenants' controllers made no decisions"
+    for d in decisions:
+        assert d.args["backend_kind"] == "posix"
+        assert d.args["lookahead_epochs"] == 0
+        assert context_from_decision_args(d.args) is not None
 
 
 def test_cluster_prisma_beats_vanilla_on_shared_storage():

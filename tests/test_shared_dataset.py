@@ -222,3 +222,31 @@ def test_shared_recovers_from_a_producer_crash():
     assert served == {0: 16, 1: 16}
     assert pf.producer_crashes == 1
     assert pf.files_fetched == 16
+
+
+def test_shared_consumer_an_epoch_behind():
+    """Epoch 1 stages every path again while the slow consumer still owes
+    its epoch-0 copy: both copies stay buffered, each path is read once
+    per epoch, and the slow consumer still gets both epochs in order."""
+    sim, dev, posix, split = make_env(n_train=4)
+    pf = SharedDatasetPrefetcher(sim, posix, consumers=2, buffer_capacity=8)
+    paths = split.train.filenames()
+    got = []
+
+    def fast():
+        for _ in range(2):
+            pf.on_epoch(paths)
+            for path in paths:
+                yield pf.serve(path)
+
+    def slow():
+        yield sim.timeout(1.0)
+        for path in paths * 2:
+            yield pf.serve(path)
+            got.append(path)
+
+    sim.run(until=sim.all_of([sim.process(fast()), sim.process(slow())]))
+    assert pf.files_fetched == 8
+    assert dev.counters.get("reads") == 8
+    assert pf.buffer.level == 0
+    assert got == paths * 2
